@@ -75,8 +75,8 @@ def parse_quiver_file(text: str) -> Quiver:
     index: dict[str, int] = {}
     arrow_ids: set[str] = set()
     for lineno, line in _content_lines(text):
-        if line.startswith("quiver"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "quiver":
             if len(parts) != 2:
                 raise ParseError("expected 'quiver <name>'", lineno)
             if name is not None:

@@ -5,7 +5,14 @@ cyclic sink-admissible vertex ordering; the indecomposable is then rebuilt by
 applying the inverse functors in reverse, reorienting the quiver step by step
 until it returns to the input orientation.  Dimension bookkeeping is asserted
 after every functor application, so the classical theorems this relies on are
-enforced at runtime.
+enforced at runtime, and a failure names the quiver, root, vertex and step.
+
+The walk state after t reflections is (dimension vector, t mod n).  The phase
+t mod n fixes the next vertex in the ordering and the current orientation, so
+the module rebuilt at a state depends on that state alone.  Each module is
+stored in a memo under its state, and a walk stops descending at the first
+state already in the memo.  A catalog shares one memo across all its roots, so
+each state costs one functor call; a single construction uses a fresh memo.
 """
 
 from __future__ import annotations
@@ -124,21 +131,28 @@ def reflect_at_source(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Rep
     return new_quiver, Representation(new_quiver, field, new_dims, tuple(new_maps))
 
 
-def _admissible_order(Q: Quiver) -> list[int]:
-    """Vertex order in which each vertex is a sink once all earlier ones are flipped."""
+def _reflection_pass(Q: Quiver) -> tuple[list[int], list[Quiver]]:
+    """Vertex order in which each vertex is a sink once all earlier ones are
+    flipped, and the orientation before each flip (n + 1 quivers, the last
+    equal to Q)."""
     order = []
-    cur = Q
+    orientations = [Q]
     remaining = set(range(Q.vertex_count))
     while remaining:
+        cur = orientations[-1]
         v = min((x for x in remaining if cur.is_sink(x)), default=None)
         if v is None:
-            raise InternalInvariantError("no admissible sink; quiver has an oriented cycle")
+            raise InternalInvariantError(
+                f"quiver {Q.name}: no admissible sink; quiver has an oriented cycle"
+            )
         order.append(v)
         remaining.remove(v)
-        cur = cur.reverse_arrows_at(v)
-    if cur != Q:
-        raise InternalInvariantError("full reflection pass did not restore the orientation")
-    return order
+        orientations.append(cur.reverse_arrows_at(v))
+    if orientations[-1] != Q:
+        raise InternalInvariantError(
+            f"quiver {Q.name}: full reflection pass did not restore the orientation"
+        )
+    return order, orientations
 
 
 def _unit_vector(n: int, j: int) -> tuple[int, ...]:
@@ -161,58 +175,71 @@ def _require_positive_root(Q: Quiver, d) -> tuple[int, ...]:
     return d
 
 
-def construct_indecomposable(Q: Quiver, d, field: Field) -> Representation:
-    """The unique indecomposable with dimension vector d, built by reflection functors."""
-    d = _require_positive_root(Q, d)
+def _build(
+    Q: Quiver,
+    root: tuple[int, ...],
+    field: Field,
+    walk: tuple[list[int], list[Quiver]],
+    memo: dict[tuple[tuple[int, ...], int], Representation],
+) -> Representation:
+    """Indecomposable with dimension vector root: walk down until a state in
+    memo or a simple root, then rebuild upwards, storing each module in memo
+    under its (dimension vector, phase) state."""
     n = Q.vertex_count
     for j in range(n):
-        if d == _unit_vector(n, j):
+        if root == _unit_vector(n, j):
             return Representation.simple(Q, field, j)
-    order = _admissible_order(Q)
-    seq: list[int] = []
-    quivers = [Q]
-    dim_walk = [d]
-    cur_q, cur_d = Q, d
+    order, orientations = walk
+
+    def fail(step: int, v: int, what: str) -> InternalInvariantError:
+        coords = ",".join(str(c) for c in root)
+        return InternalInvariantError(
+            f"quiver {Q.name}, root ({coords}), walk step {step}, "
+            f"vertex {Q.labels[v]}: {what}"
+        )
+
     cap = 60 * n + 10
-    stop_vertex = None
-    k = 0
-    while True:
-        v = order[k % n]
-        k += 1
-        if cur_d == _unit_vector(n, v):
-            stop_vertex = v
+    dim_walk = [root]
+    d = root
+    t = 0
+    while (d, t % n) not in memo:
+        v = order[t % n]
+        if d == _unit_vector(n, v):
+            memo[d, t % n] = Representation.simple(orientations[t % n], field, v)
             break
-        if k > cap:
-            raise InternalInvariantError("reflection walk did not reach a simple root")
-        new_d = simple_reflection(Q, v, cur_d)
-        if any(c < 0 for c in new_d):
-            raise InternalInvariantError("reflection walk left the positive cone")
-        seq.append(v)
-        cur_q = cur_q.reverse_arrows_at(v)
-        quivers.append(cur_q)
-        dim_walk.append(new_d)
-        cur_d = new_d
-    M = Representation.simple(quivers[-1], field, stop_vertex)
-    for t in reversed(range(len(seq))):
-        v = seq[t]
-        new_q, M = reflect_at_source(quivers[t + 1], v, M)
-        if new_q != quivers[t]:
-            raise InternalInvariantError("reflection functor reoriented the quiver incorrectly")
-        if M.dims != dim_walk[t]:
-            raise InternalInvariantError(
-                f"dimension bookkeeping failed at vertex {v}: {M.dims} != {dim_walk[t]}"
-            )
+        if t >= cap:
+            raise fail(t, v, "reflection walk did not reach a simple root")
+        d = simple_reflection(Q, v, d)
+        if any(c < 0 for c in d):
+            raise fail(t, v, "reflection walk left the positive cone")
+        t += 1
+        dim_walk.append(d)
+    M = memo[d, t % n]
+    for s in reversed(range(t)):
+        v = order[s % n]
+        new_q, M = reflect_at_source(orientations[s % n + 1], v, M)
+        if new_q != orientations[s % n]:
+            raise fail(s, v, "reflection functor reoriented the quiver incorrectly")
+        if M.dims != dim_walk[s]:
+            raise fail(s, v, f"dimension bookkeeping failed: {M.dims} != {dim_walk[s]}")
+        memo[dim_walk[s], s % n] = M
     return M
 
 
+def construct_indecomposable(Q: Quiver, d, field: Field) -> Representation:
+    """The unique indecomposable with dimension vector d, built by reflection functors."""
+    d = _require_positive_root(Q, d)
+    return _build(Q, d, field, _reflection_pass(Q), {})
+
+
 def all_indecomposables(Q: Quiver, field: Field) -> IndecCatalog:
-    """Catalog of every indecomposable of a finite-type quiver, one per positive root."""
+    """Catalog of every indecomposable of a finite-type quiver, one per positive
+    root; all roots share one walk memo."""
     roots = positive_roots(Q)
-    entries = []
-    for r in roots:
-        rep = construct_indecomposable(Q, r, field)
-        entries.append((r, rep))
-    return IndecCatalog(Q, field, tuple(entries))
+    walk = _reflection_pass(Q)
+    memo: dict[tuple[tuple[int, ...], int], Representation] = {}
+    entries = tuple((r, _build(Q, r, field, walk, memo)) for r in roots)
+    return IndecCatalog(Q, field, entries)
 
 
 def generic_rep_oracle(Q: Quiver, d, field: Field, seed: int = 0) -> Representation:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,14 @@ class TestClassify:
         code, _, err = run_cli(["classify", files["bad"]])
         assert code == 1
         assert "line 3" in err
+
+    def test_prefixed_header_exit_1(self, tmp_path):
+        p = tmp_path / "prefixed.quiver"
+        p.write_text("quiverfoo x\nvertices: a b\n")
+        code, out, err = run_cli(["classify", str(p)])
+        assert code == 1
+        assert out == ""
+        assert "line 1" in err
 
     def test_missing_file(self):
         code, _, err = run_cli(["classify", "/nonexistent/q.quiver"])
@@ -211,3 +222,22 @@ class TestShippedQuivers:
             matches = list(shipped.glob(f"{letter.lower()}{rank}_*.quiver"))
             matches = [m for m in matches if "tilde" not in m.stem]
             assert len(matches) >= 2, f"{letter}{rank}"
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        repo = Path(__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverrep", "classify", "quivers/a3_linear.quiver"],
+            cwd=repo,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "components: A3" in proc.stdout

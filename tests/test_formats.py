@@ -85,6 +85,11 @@ class TestQuiverFile:
         with pytest.raises(ParseError):
             parse_quiver_file("vertices: a b\n")
 
+    def test_header_keyword_is_a_whole_word(self):
+        with pytest.raises(ParseError) as exc:
+            parse_quiver_file("quiverfoo x\nvertices: a b\n")
+        assert exc.value.line == 1
+
     def test_loops_and_parallel_arrows_accepted(self):
         # the parser is total; classification does the rejecting
         q = parse_quiver_file("quiver l\nvertices: a b\narrow e: a -> a\narrow f: a -> b\narrow g: a -> b\n")

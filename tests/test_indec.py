@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import quiverrep.indec as indec
 from quiverrep.dynkin import build_quiver, kronecker_quiver, orientation_schemes
-from quiverrep.errors import InfiniteTypeError, NotARootError
+from quiverrep.errors import InfiniteTypeError, InternalInvariantError, NotARootError
+from quiverrep.formats import parse_field, parse_quiver_file, rep_file_text
 from quiverrep.indec import (
     all_indecomposables,
     construct_indecomposable,
@@ -16,8 +19,11 @@ from quiverrep.indec import (
     reflect_at_source,
 )
 from quiverrep.linalg import Field, Matrix, QQ
+from quiverrep.quiver import classify
 from quiverrep.rep import Representation, hom_ext_dims, is_isomorphic, is_schur
 from quiverrep.roots import positive_roots, simple_reflection
+
+from conftest import run_cli
 
 F2 = Field.prime(2)
 
@@ -25,6 +31,17 @@ A2 = build_quiver("A", 2)
 P1 = Representation.from_maps(A2, QQ, (1, 1), {"a1": Matrix.from_rows(QQ, [[1]])})
 
 RANK_LE_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
+
+SHIPPED = Path(__file__).parent.parent / "quivers"
+
+
+def shipped_quiver(filename: str):
+    return parse_quiver_file((SHIPPED / filename).read_text(encoding="utf-8"))
+
+
+SHIPPED_FINITE = sorted(
+    p.name for p in SHIPPED.glob("*.quiver") if classify(shipped_quiver(p.name)).finite
+)
 
 
 class TestReflectAtSink:
@@ -134,6 +151,62 @@ class TestCatalog:
         cat = all_indecomposables(build_quiver("D", 4, "alternating"), QQ)
         roots = [r for r, _ in cat.entries]
         assert len(set(roots)) == len(roots)
+
+
+class TestSharedWalks:
+    """The catalog shares one walk memo across roots; each root alone must
+    give the same bytes, and each walk state costs one functor call."""
+
+    @pytest.mark.parametrize("token", ["Q", "F2", "F3"])
+    @pytest.mark.parametrize("filename", SHIPPED_FINITE)
+    def test_catalog_equals_per_root_rebuild(self, filename, token):
+        q = shipped_quiver(filename)
+        field = parse_field(token)
+        cat = all_indecomposables(q, field)
+        assert [r for r, _ in cat.entries] == list(positive_roots(q))
+        for root, m in cat.entries:
+            direct = construct_indecomposable(q, root, field)
+            assert rep_file_text(m) == rep_file_text(direct), root
+
+    @pytest.mark.parametrize(
+        "filename, calls",
+        [("e8_linear.quiver", 884), ("e8_alternating.quiver", 892), ("e8_sinkheavy.quiver", 868)],
+    )
+    def test_one_functor_call_per_walk_state(self, monkeypatch, filename, calls):
+        count = Counter()
+        original = indec.reflect_at_source
+
+        def counted(Q, i, M):
+            count["calls"] += 1
+            return original(Q, i, M)
+
+        monkeypatch.setattr(indec, "reflect_at_source", counted)
+        all_indecomposables(shipped_quiver(filename), F2)
+        assert count["calls"] == calls
+
+
+class TestInvariantMessages:
+    def test_bookkeeping_failure_names_the_site(self, monkeypatch):
+        original = indec.reflect_at_source
+
+        def wrong_dims(Q, i, M):
+            q, _ = original(Q, i, M)
+            return q, Representation.zero(q, M.field)
+
+        monkeypatch.setattr(indec, "reflect_at_source", wrong_dims)
+        expected = (
+            "quiver A3_linear, root (1,1,1), walk step 1, vertex 2: "
+            "dimension bookkeeping failed: (0, 0, 0) != (1, 1, 0)"
+        )
+        with pytest.raises(InternalInvariantError) as exc:
+            construct_indecomposable(shipped_quiver("a3_linear.quiver"), (1, 1, 1), QQ)
+        assert str(exc.value) == expected
+        code, out, err = run_cli(
+            ["verify-udr", str(SHIPPED / "a3_linear.quiver"), "--field", "Q", "--dim", "1,1,1"]
+        )
+        assert code == 5
+        assert out == ""
+        assert err == f"error: {expected}\n"
 
 
 class TestDimensionBookkeeping:
