@@ -2,7 +2,9 @@
 
 Subcommands: classify, roots, indec, ext, verify-udr.  Exit codes: 0 success,
 1 parse error, 2 infinite representation type, 3 not a positive root,
-4 quiver/field mismatch, 5 internal invariant violation.
+4 quiver/field mismatch, 5 internal invariant violation, 6 usage error (bad
+or missing command-line arguments).  Every nonzero exit prints one
+`error: ...` line to stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ EXIT_INFINITE = 2
 EXIT_NOT_ROOT = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
+EXIT_USAGE = 6
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors reach `main`, not argparse's exit 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _read(path: str) -> str:
@@ -197,7 +211,7 @@ def _cmd_verify_udr(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quiverrep",
         description="Exact computation with quiver representations.",
     )
@@ -206,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, formats=True):
         if formats:
             p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
+        p.add_argument(
+            "--seed", type=int, default=0, help="accepted for compatibility; has no effect yet"
+        )
 
     p = sub.add_parser("classify", help="finite/infinite type with Dynkin components")
     p.add_argument("quiverfile")
@@ -244,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ParseError as exc:

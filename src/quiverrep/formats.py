@@ -14,7 +14,11 @@ Representation files (parsed against a quiver)::
     map <arrow-id> = [[..],[..]] row-major, entries like 7 or -3/2
 
 Missing dim lines default to 0; missing map lines default to the zero matrix,
-which is also how zero-sized matrices are written out.  Reports are rendered
+which is also how zero-sized matrices are written out.  A dim above MAX_DIM is
+a parse error, raised before any matrix is built: Hom/Ext between two files
+works on a matrix of at most #arrows x #vertices x MAX_DIM**4 entries, so an
+unbounded dim would be an unbounded allocation.  The bound is well above 6,
+the largest coordinate of any root of a Dynkin quiver.  Reports are rendered
 with sorted keys and a fixed layout so equal inputs give equal bytes.
 """
 
@@ -38,7 +42,10 @@ __all__ = [
     "parse_rep_file",
     "rep_file_text",
     "report_json",
+    "MAX_DIM",
 ]
+
+MAX_DIM = 16
 
 _FIELD_RE = re.compile(r"^(Q|F([0-9]+))$")
 
@@ -168,7 +175,11 @@ def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
             v = m.group(1)
             if v not in vindex:
                 raise ParseError(f"unknown vertex {v!r}", lineno)
-            dims[vindex[v]] = int(m.group(2))
+            # compare lengths first: int() refuses strings of over 4300 digits
+            digits = m.group(2).lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+                raise ParseError(f"dim of vertex {v!r} exceeds the bound {MAX_DIM}", lineno)
+            dims[vindex[v]] = int(digits)
         elif line.startswith("map"):
             m = re.match(r"^map\s+(\S+)\s*=\s*(.+)$", line)
             if not m:

@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rational matrices are eliminated with fraction-free (Bareiss) pivoting on
-integer rows, so intermediate entries stay bounded by minors of the input;
-prime-field matrices use plain modular elimination.  All results are exact,
+Rational matrices are eliminated in integers only.  Each row is scaled by
+the lcm of its denominators, then reduced by fraction-free (Bareiss)
+elimination with positive pivots, so intermediate entries stay bounded by
+minors of the input.  `rank` stops after the forward pass.  `rref` runs the
+same fraction-free step above each pivot as well (Gauss-Jordan), which
+leaves every pivot equal to the last one, D; the reduced form is then the
+integer result divided by D, one division per nonzero entry at the end.
+Prime-field matrices use plain modular elimination.  All results are exact,
 and pivoting is canonical (first nonzero entry in column order, lowest row
 first), so every basis this module returns is reproducible bit for bit.
 """
@@ -164,9 +169,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_lists(self) -> list[list]:
         """Mutable copy of the rows, for elimination."""
         c = self.cols
@@ -278,21 +280,31 @@ class Matrix:
 
 # --- elimination kernels ------------------------------------------------
 
+_ZERO = Fraction(0)
+
 
 def _integer_rows(frac_rows: list[list[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (kernel/rank preserving)."""
     out = []
     for r in frac_rows:
-        mult = lcm(*(x.denominator for x in r)) if r else 1
-        out.append([int(x * mult) for x in r])
+        mult = lcm(*(x.denominator for x in r))
+        if mult == 1:
+            out.append([x.numerator for x in r])
+        else:
+            out.append([x.numerator * (mult // x.denominator) for x in r])
     return out
 
 
-def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
-    """Fraction-free forward elimination in place; returns pivot columns.
+def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list[int]:
+    """Fraction-free Gauss(-Jordan) elimination in place; returns pivot columns.
 
-    After step k every entry is a (k+1)-minor of the input, so the exact
-    integer divisions by the previous pivot never truncate.
+    A pivot row whose pivot is negative is negated, which is the same as
+    negating that input row, so every pivot is positive and a matrix of
+    +-1 pivots keeps the divisor at 1.  After step k every entry is, up to
+    those signs, a (k+1)-minor of the input, so the exact integer divisions
+    by the previous pivot never truncate.  With `full`, rows above the pivot
+    are eliminated too, and every pivot row ends with the last pivot at its
+    pivot column.
     """
     pivots: list[int] = []
     prev = 1
@@ -305,7 +317,12 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
             rows_[r], rows_[pr] = rows_[pr], rows_[r]
         piv_row = rows_[r]
         piv = piv_row[c]
-        for i in range(r + 1, m):
+        if piv < 0:
+            piv = -piv
+            piv_row = rows_[r] = [-a for a in piv_row]
+        for i in range(m) if full else range(r + 1, m):
+            if i == r:
+                continue
             ri = rows_[i]
             f = ri[c]
             if f:
@@ -356,18 +373,9 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int, full: bool) ->
 
 def _rref_rational(A: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     rows_ = _integer_rows(A.row_lists())
-    pivots = _bareiss_echelon(rows_, A.rows, A.cols)
-    frows = [[Fraction(x) for x in r] for r in rows_]
-    for k in reversed(range(len(pivots))):
-        c = pivots[k]
-        piv = frows[k][c]
-        if piv != 1:
-            frows[k] = [x / piv for x in frows[k]]
-        prow = frows[k]
-        for i in range(k):
-            f = frows[i][c]
-            if f:
-                frows[i] = [a - f * b for a, b in zip(frows[i], prow)]
+    pivots = _bareiss_echelon(rows_, A.rows, A.cols, full=True)
+    d = rows_[len(pivots) - 1][pivots[-1]] if pivots else 1
+    frows = [[Fraction(x, d) if x else _ZERO for x in r] for r in rows_]
     return frows, pivots
 
 
@@ -386,7 +394,7 @@ def rank(A: Matrix) -> int:
     """Exact rank via forward elimination only."""
     if A.field.is_rational:
         rows_ = _integer_rows(A.row_lists())
-        return len(_bareiss_echelon(rows_, A.rows, A.cols))
+        return len(_bareiss_echelon(rows_, A.rows, A.cols, full=False))
     rows_ = A.row_lists()
     return len(_fp_eliminate(rows_, A.rows, A.cols, A.field.char, full=False))
 

@@ -62,12 +62,6 @@ class Quiver:
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    def arrows_into(self, i: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == i]
-
-    def arrows_out_of(self, i: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == i]
-
     def is_sink(self, i: int) -> bool:
         return all(a.source != i for a in self.arrows)
 

@@ -90,17 +90,8 @@ class Representation:
         dims = tuple(1 if j == i else 0 for j in range(quiver.vertex_count))
         return Representation.from_maps(quiver, field, dims)
 
-    def map_for(self, arrow_name: str) -> Matrix:
-        for a, m in zip(self.quiver.arrows, self.maps):
-            if a.name == arrow_name:
-                return m
-        raise KeyError(arrow_name)
-
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
 
 @dataclass(frozen=True)

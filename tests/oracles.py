@@ -46,6 +46,34 @@ def gauss_rank(rows: list[list], p: int | None = None) -> int:
     return rank_
 
 
+def gauss_rref(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q and its pivot columns, by textbook Gauss-Jordan.
+
+    Every step is Fraction arithmetic: the pivot row is divided by its pivot,
+    chosen as the entry of largest absolute value, before it clears its
+    column above and below.  The rref is unique, so the library's integer
+    elimination must give the same rows and pivots.
+    """
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        top = len(pivots)
+        if top == len(m):
+            break
+        best = max(range(top, len(m)), key=lambda i: abs(m[i][c]))
+        if m[best][c] == 0:
+            continue
+        m[top], m[best] = m[best], m[top]
+        pv = m[top][c]
+        m[top] = [x / pv for x in m[top]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != top and f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(c)
+    return m, pivots
+
+
 def det_laplace(rows: list[list]):
     n = len(rows)
     if n == 0:

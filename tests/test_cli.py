@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
-from quiverrep.formats import parse_rep_file, quiver_file_text
+from quiverrep.formats import MAX_DIM, parse_rep_file, quiver_file_text
+from quiverrep.linalg import Matrix
 from quiverrep.rep import hom_ext_dims, is_schur
 
 from conftest import run_cli
@@ -153,6 +154,14 @@ class TestExt:
         assert code == 0
         assert "dim Hom = 1" in out and "dim Ext1 = 0" in out
 
+    def test_oversized_dim_exit_1(self, files, tmp_path, monkeypatch):
+        monkeypatch.setattr(Matrix, "zeros", None)  # no matrix may be built for this file
+        big = self._write_rep(tmp_path, "big.rep", "rep B over Q\ndim 1 = 99999999999\n")
+        code, out, err = run_cli(["ext", files["A2_linear"], "--from", big, "--to", big])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: line 2: dim of vertex '1' exceeds the bound {MAX_DIM}\n"
+
     def test_field_mismatch_exit_4(self, files, tmp_path):
         a = self._write_rep(tmp_path, "a.rep", "rep A over Q\ndim 1 = 1\ndim 2 = 0\n")
         b = self._write_rep(tmp_path, "b.rep", "rep B over F2\ndim 1 = 0\ndim 2 = 1\n")
@@ -189,6 +198,31 @@ class TestVerifyUDR:
             "ext_dim": 0,
             "verdict": "isomorphic_to_k",
         }
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["classify"],
+            ["indec", "A2_linear", "--dim", "-1,2", "--field", "Q"],
+            ["roots", "A2_linear", "--format", "xml"],
+            ["classify", "A2_linear", "--seed", "x"],
+        ],
+    )
+    def test_usage_error_exit_6_one_line(self, files, argv):
+        argv = [files.get(a, a) for a in argv]
+        code, out, err = run_cli(argv)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error: quiverrep") and err.count("\n") == 1
+
+    def test_help_still_exits_0(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["classify", "--help"])
+        assert exc.value.code == 0
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from quiverrep import __version__
 from quiverrep.dynkin import build_quiver, kronecker_quiver
 from quiverrep.errors import ParseError
 from quiverrep.formats import (
+    MAX_DIM,
     field_token,
     parse_field,
     parse_quiver_file,
@@ -145,6 +146,18 @@ class TestRepFile:
         q = build_quiver("A", 2)
         with pytest.raises(ParseError):
             parse_rep_file("rep M over Q\nmap bogus = [[1]]\n", q)
+
+    def test_oversized_dim_rejected_before_any_matrix(self, monkeypatch):
+        q = build_quiver("A", 2)
+        monkeypatch.setattr(Matrix, "zeros", None)  # a matrix built for the default map would fail loudly
+        for value in ("99999999999", "1" + "0" * 5000, str(MAX_DIM + 1)):
+            with pytest.raises(ParseError, match=f"line 2: dim of vertex '1' exceeds the bound {MAX_DIM}"):
+                parse_rep_file(f"rep M over Q\ndim 1 = {value}\ndim 2 = 1\n", q)
+
+    def test_dim_at_the_bound_accepted(self):
+        q = build_quiver("A", 2)
+        _, rep = parse_rep_file(f"rep M over F2\ndim 1 = 00{MAX_DIM}\n", q)
+        assert rep.dims == (MAX_DIM, 0)
 
 
 class TestReportJSON:

@@ -19,7 +19,7 @@ from quiverrep.linalg import (
     solve,
 )
 
-from oracles import gauss_rank, rank_by_minors
+from oracles import gauss_rank, gauss_rref, rank_by_minors
 
 F2 = Field.prime(2)
 F5 = Field.prime(5)
@@ -190,3 +190,84 @@ def test_rational_entries_reduced():
 def test_prime_field_entries_reduced():
     a = mat(F5, [[7, -1], [10, 12]])
     assert a.entries == (2, 4, 0, 2)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows over Q with a column count, including 0 x n and n x 0 shapes.
+
+    Entries come from one of three pools per matrix: {0, +-1} (the shape of
+    catalog matrices), small integers, or non-integer fractions.  Some
+    matrices get a duplicated or summed row, and some a negative first pivot.
+    """
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0, 1, -1]),
+                st.integers(-5, 5),
+                st.fractions(min_value=-5, max_value=5, max_denominator=7),
+            ]
+        )
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if rows:
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        extra = draw(st.sampled_from(["none", "duplicate", "sum"]))
+        if extra == "duplicate":
+            rows.append(list(rows[i]))
+        elif extra == "sum":
+            rows.append([a + b for a, b in zip(rows[i], rows[j])])
+    if rows and ncols and draw(st.booleans()):
+        rows[0][0] = -abs(rows[0][0]) or -1
+    return rows, ncols
+
+
+def _times(rows, v):
+    return [sum((Fraction(a) * x for a, x in zip(r, v)), Fraction(0)) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=rational_matrices(), rhs=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_rational_elimination_matches_textbook_gauss_jordan(data, rhs):
+    rows, ncols = data
+    a = Matrix.from_rows(QQ, rows, cols=ncols)
+    want, want_pivots = gauss_rref(rows, ncols)
+    r, pivots = rref(a)
+    assert r.entries == tuple(x for row in want for x in row)
+    assert pivots == tuple(want_pivots)
+    assert rank(a) == len(want_pivots)
+
+    basis = kernel_basis(a)
+    assert len(basis) == ncols - len(want_pivots)
+    for v in basis:
+        assert _times(rows, v) == [0] * len(rows)
+    assert gauss_rank([list(v) for v in basis]) == len(basis)
+
+    b = rhs[: len(rows)]
+    aug, aug_pivots = gauss_rref([row + [x] for row, x in zip(rows, b)], ncols + 1)
+    x = solve(a, b)
+    if ncols in aug_pivots:
+        assert x is None
+    else:
+        expected = [Fraction(0)] * ncols
+        for k, c in enumerate(aug_pivots):
+            expected[c] = aug[k][ncols]
+        assert x == tuple(expected)
+        assert _times(rows, x) == [Fraction(v) for v in b]
+
+
+def test_rational_rank_and_rref_construct_no_intermediate_fractions(monkeypatch):
+    a = mat(QQ, [[Fraction(1, 2), -1, 3], [2, Fraction(-3, 4), 0], [-1, 5, Fraction(7, 3)], [1, 1, 1]])
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert rank(a) == 3
+    assert made == []
+    r, _ = rref(a)
+    assert len(made) == sum(1 for x in r.entries if x)
