@@ -18,8 +18,12 @@ which is also how zero-sized matrices are written out.  A dim above MAX_DIM is
 a parse error, raised before any matrix is built: Hom/Ext between two files
 works on a matrix of at most #arrows x #vertices x MAX_DIM**4 entries, so an
 unbounded dim would be an unbounded allocation.  The bound is well above 6,
-the largest coordinate of any root of a Dynkin quiver.  Reports are rendered
-with sorted keys and a fixed layout so equal inputs give equal bytes.
+the largest coordinate of any root of a Dynkin quiver.  A field token F<p>
+needs p < MAX_CHAR = 2**31, checked on the digit string before `int()`:
+primality is settled by trial division, about 23k steps at that bound, and
+a longer token would otherwise run unbounded or overflow `int()`'s digit
+limit.  Reports are rendered with sorted keys and a fixed layout so equal
+inputs give equal bytes.
 """
 
 from __future__ import annotations
@@ -43,9 +47,11 @@ __all__ = [
     "rep_file_text",
     "report_json",
     "MAX_DIM",
+    "MAX_CHAR",
 ]
 
 MAX_DIM = 16
+MAX_CHAR = 2**31
 
 _FIELD_RE = re.compile(r"^(Q|F([0-9]+))$")
 
@@ -57,7 +63,10 @@ def parse_field(token: str) -> Field:
         raise ParseError(f"unknown field {token!r} (expected Q or F<p>)")
     if m.group(1) == "Q":
         return Field.rationals()
-    p = int(m.group(2))
+    digits = m.group(2).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_CHAR)) or int(digits) >= MAX_CHAR:
+        raise ParseError(f"prime field modulus must be below 2**31 = {MAX_CHAR}")
+    p = int(digits)
     try:
         return Field.prime(p)
     except ValueError as exc:

@@ -7,9 +7,17 @@ minors of the input.  `rank` stops after the forward pass.  `rref` runs the
 same fraction-free step above each pivot as well (Gauss-Jordan), which
 leaves every pivot equal to the last one, D; the reduced form is then the
 integer result divided by D, one division per nonzero entry at the end.
-Prime-field matrices use plain modular elimination.  All results are exact,
-and pivoting is canonical (first nonzero entry in column order, lowest row
-first), so every basis this module returns is reproducible bit for bit.
+Prime-field matrices use plain modular elimination.  An elimination step
+updates a row only from the pivot column on wherever that is exact: every
+row over F_p, the rows below the pivot over Q (the Gauss-Jordan rows above
+a Bareiss pivot are rescaled, so they are updated whole).  All results are
+exact, and pivoting is canonical (first nonzero entry in column order,
+lowest row first), so every basis this module returns is reproducible bit
+for bit.
+
+A `Matrix` canonicalizes its entries in one pass per field: ints are reduced
+mod p directly, Fractions over Q are kept, and any other input goes through
+`Field.canon`, so each stored entry is exactly `field.canon(x)`.
 """
 
 from __future__ import annotations
@@ -137,7 +145,14 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(field.canon(x) for x in entries))
+        # One pass per field: the common input types are canonicalized inline
+        # (an exact type test, no ABC isinstance), everything else by canon.
+        p = field.char
+        if p:
+            ents = [x % p if type(x) is int else field.canon(x) for x in entries]
+        else:
+            ents = [x if type(x) is Fraction else field.canon(x) for x in entries]
+        object.__setattr__(self, "entries", tuple(ents))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -304,7 +319,10 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list
     those signs, a (k+1)-minor of the input, so the exact integer divisions
     by the previous pivot never truncate.  With `full`, rows above the pivot
     are eliminated too, and every pivot row ends with the last pivot at its
-    pivot column.
+    pivot column.  Rows from the pivot row down are zero left of the pivot
+    column, so they are updated from that column on; rows above it have
+    nonzero entries there that the step still rescales, so they are updated
+    whole.
     """
     pivots: list[int] = []
     prev = 1
@@ -319,22 +337,25 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list
         piv = piv_row[c]
         if piv < 0:
             piv = -piv
-            piv_row = rows_[r] = [-a for a in piv_row]
+            piv_row[c:] = [-a for a in piv_row[c:]]
+        piv_tail = piv_row[c:]
         for i in range(m) if full else range(r + 1, m):
             if i == r:
                 continue
             ri = rows_[i]
             f = ri[c]
+            if not f and piv == prev:
+                continue
+            s, pb = (c, piv_tail) if i > r else (0, piv_row)
             if f:
                 if prev == 1:
-                    rows_[i] = [a * piv - f * b for a, b in zip(ri, piv_row)]
+                    ri[s:] = [a * piv - f * b for a, b in zip(ri[s:], pb)]
                 else:
-                    rows_[i] = [(a * piv - f * b) // prev for a, b in zip(ri, piv_row)]
-            elif piv != prev:
-                if prev == 1:
-                    rows_[i] = [a * piv for a in ri]
-                else:
-                    rows_[i] = [(a * piv) // prev for a in ri]
+                    ri[s:] = [(a * piv - f * b) // prev for a, b in zip(ri[s:], pb)]
+            elif prev == 1:
+                ri[s:] = [a * piv for a in ri[s:]]
+            else:
+                ri[s:] = [(a * piv) // prev for a in ri[s:]]
         prev = piv
         pivots.append(c)
         r += 1
@@ -344,7 +365,12 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list
 
 
 def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int, full: bool) -> list[int]:
-    """Modular Gauss(-Jordan) elimination in place; returns pivot columns."""
+    """Modular Gauss(-Jordan) elimination in place; returns pivot columns.
+
+    The pivot row is zero left of the pivot column, so a step leaves those
+    columns of every row as they are and each row is updated from the pivot
+    column on.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -353,17 +379,18 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int, full: bool) ->
             continue
         if pr != r:
             rows_[r], rows_[pr] = rows_[pr], rows_[r]
-        inv = pow(rows_[r][c], -1, p)
-        if inv != 1:
-            rows_[r] = [(x * inv) % p for x in rows_[r]]
         prow = rows_[r]
-        target = range(m) if full else range(r + 1, m)
-        for i in target:
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            prow[c:] = [(x * inv) % p for x in prow[c:]]
+        ptail = prow[c:]
+        for i in range(m) if full else range(r + 1, m):
             if i == r:
                 continue
-            f = rows_[i][c]
+            ri = rows_[i]
+            f = ri[c]
             if f:
-                rows_[i] = [(a - f * b) % p for a, b in zip(rows_[i], prow)]
+                ri[c:] = [(a - f * b) % p for a, b in zip(ri[c:], ptail)]
         pivots.append(c)
         r += 1
         if r == m:

@@ -10,6 +10,11 @@ classes.  Domain coordinates run over vertices in index order, row-major
 within each block; codomain coordinates run over arrows in declaration
 order, row-major within each block.  The sign convention (g u - u f) is
 shared with the deformation module.
+
+Phi is assembled row by row in codomain order: each entry is a copied entry
+of g_a or a negated entry of f_a, placed at its domain coordinate.  The two
+terms land on the same entry only for a loop (source(a) == target(a)), and
+only there are entries added.
 """
 
 from __future__ import annotations
@@ -146,36 +151,35 @@ def _codomain_offsets(M: Representation, N: Representation) -> tuple[list[int], 
 
 
 def commutation_map(M: Representation, N: Representation) -> Matrix:
-    """Matrix of Phi(u)_a = g_a u_source(a) - u_target(a) f_a in the documented coordinates."""
+    """Matrix of Phi(u)_a = g_a u_source(a) - u_target(a) f_a in the documented coordinates.
+
+    Row (t, j) of arrow a's block holds row t of g_a at the entries u_source(a)[c, j]
+    and minus column j of f_a at the entries u_target(a)[t, c]; the two sets meet
+    only when a is a loop, where they are added.
+    """
     _check_compatible(M, N)
-    Q = M.quiver
-    field = M.field
-    p = field.char
     voffs, dom = _domain_offsets(M, N)
-    aoffs, cod = _codomain_offsets(M, N)
-    zero = field.zero()
-    cols: list[list] = []
-    for i in range(Q.vertex_count):
-        mi, ni = M.dims[i], N.dims[i]
-        for r in range(ni):
-            for s in range(mi):
-                col = [zero] * cod
-                for k, a in enumerate(Q.arrows):
-                    base = aoffs[k]
-                    ms = M.dims[a.source]
-                    if a.source == i:
-                        g = N.maps[k]
-                        for t in range(g.rows):
-                            col[base + t * ms + s] = col[base + t * ms + s] + g.entry(t, r)
-                    if a.target == i:
-                        f = M.maps[k]
-                        for t in range(f.cols):
-                            col[base + r * ms + t] = col[base + r * ms + t] - f.entry(s, t)
-                if p:
-                    col = [x % p for x in col]
-                cols.append(col)
-    flat = [cols[j][i] for i in range(cod) for j in range(dom)]
-    return Matrix(field, cod, dom, flat)
+    _, cod = _codomain_offsets(M, N)
+    flat = [M.field.zero()] * (cod * dom)
+    row = 0
+    for a, f, g in zip(M.quiver.arrows, M.maps, N.maps):
+        ms, mt = M.dims[a.source], M.dims[a.target]
+        span = N.dims[a.source] * ms
+        # over F_p the negated entries are reduced by the Matrix constructor
+        neg_cols = [[-x for x in f.entries[j::ms]] for j in range(ms)]
+        for t in range(g.rows):
+            g_row = g.row(t)
+            for j, neg_col in enumerate(neg_cols):
+                start = row + voffs[a.source] + j
+                flat[start : start + span : ms] = g_row
+                lo = row + voffs[a.target] + t * mt
+                if a.source == a.target:
+                    for c, x in enumerate(neg_col, lo):
+                        flat[c] += x
+                else:
+                    flat[lo : lo + mt] = neg_col
+                row += dom
+    return Matrix(M.field, cod, dom, flat)
 
 
 def _unflatten_vertex(vec: Sequence, M: Representation, N: Representation) -> tuple[Matrix, ...]:

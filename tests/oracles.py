@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch: plain Gauss elimination
 instead of fraction-free pivoting, Laplace minor expansion, a numpy box scan
 for roots, and a hom/ext constraint system assembled in its own coordinate
-order.  None of it shares code with the package under test.
+order.  The column-by-column commutation map is the library's earlier
+assembly, kept as the reference for the row-by-row one.  None of it shares
+code with the package under test.
 """
 
 from __future__ import annotations
@@ -46,30 +48,37 @@ def gauss_rank(rows: list[list], p: int | None = None) -> int:
     return rank_
 
 
-def gauss_rref(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q and its pivot columns, by textbook Gauss-Jordan.
+def gauss_rref(rows: list[list], ncols: int, p: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form and its pivot columns, by textbook Gauss-Jordan.
 
-    Every step is Fraction arithmetic: the pivot row is divided by its pivot,
-    chosen as the entry of largest absolute value, before it clears its
-    column above and below.  The rref is unique, so the library's integer
+    Over Q (p None) every step is Fraction arithmetic: the pivot row is
+    divided by its pivot, chosen as the entry of largest absolute value,
+    before it clears its column above and below.  Mod p the entries are the
+    residues of the (integer or fractional) input and the pivot is the
+    bottom-most nonzero entry.  The rref is unique, so the library's
     elimination must give the same rows and pivots.
     """
-    m = [[Fraction(x) for x in r] for r in rows]
+    if p is None:
+        m = [[Fraction(x) for x in r] for r in rows]
+        norm, pivot_key = (lambda x: x), (lambda x, i: abs(x))
+    else:
+        m = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in r] for r in rows]
+        norm, pivot_key = (lambda x: x % p), (lambda x, i: (x != 0, i))
     pivots: list[int] = []
     for c in range(ncols):
         top = len(pivots)
         if top == len(m):
             break
-        best = max(range(top, len(m)), key=lambda i: abs(m[i][c]))
+        best = max(range(top, len(m)), key=lambda i: pivot_key(m[i][c], i))
         if m[best][c] == 0:
             continue
         m[top], m[best] = m[best], m[top]
-        pv = m[top][c]
-        m[top] = [x / pv for x in m[top]]
+        inv = 1 / m[top][c] if p is None else pow(m[top][c], -1, p)
+        m[top] = [norm(x * inv) for x in m[top]]
         for i in range(len(m)):
             f = m[i][c]
             if i != top and f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+                m[i] = [norm(a - f * b) for a, b in zip(m[i], m[top])]
         pivots.append(c)
     return m, pivots
 
@@ -168,3 +177,41 @@ def closed_form_count(letter: str, rank: int) -> int:
     if letter == "D":
         return rank * (rank - 1)
     return {6: 36, 7: 63, 8: 120}[rank]
+
+
+def columnwise_commutation_map(M: Representation, N: Representation) -> tuple[int, int, tuple]:
+    """(rows, cols, row-major entries) of the commutation map, one column at a time.
+
+    Same coordinates and sign convention as `quiverrep.rep.commutation_map`:
+    each domain coordinate u_i[r, s] gets a column of canonical field
+    elements, accumulated by scalar additions (so loops add both terms), and
+    the columns are transposed into rows at the end.
+    """
+    Q = M.quiver
+    p = M.field.char
+    zero = M.field.zero()
+    aoffs, cod = [], 0
+    for a in Q.arrows:
+        aoffs.append(cod)
+        cod += N.dims[a.target] * M.dims[a.source]
+    cols: list[list] = []
+    for i in range(Q.vertex_count):
+        for r in range(N.dims[i]):
+            for s in range(M.dims[i]):
+                col = [zero] * cod
+                for k, a in enumerate(Q.arrows):
+                    base = aoffs[k]
+                    ms = M.dims[a.source]
+                    if a.source == i:
+                        g = N.maps[k]
+                        for t in range(g.rows):
+                            col[base + t * ms + s] = col[base + t * ms + s] + g.entry(t, r)
+                    if a.target == i:
+                        f = M.maps[k]
+                        for t in range(f.cols):
+                            col[base + r * ms + t] = col[base + r * ms + t] - f.entry(s, t)
+                if p:
+                    col = [x % p for x in col]
+                cols.append(col)
+    dom = len(cols)
+    return cod, dom, tuple(cols[j][i] for i in range(cod) for j in range(dom))

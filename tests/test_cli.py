@@ -124,6 +124,18 @@ class TestIndec:
         code, _, _ = run_cli(["indec", files["kronecker"], "--dim", "1,1", "--field", "Q"])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["F2305843009213693951", "F" + "7" * 5000])
+    def test_oversized_field_exit_1(self, files, token):
+        code, out, err = run_cli(["indec", files["A2_linear"], "--dim", "1,1", "--field", token])
+        assert code == 1
+        assert out == ""
+        assert err == "error: prime field modulus must be below 2**31 = 2147483648\n"
+
+    def test_largest_field_below_the_bound(self, files):
+        code, out, _ = run_cli(["indec", files["A2_linear"], "--dim", "1,1", "--field", "F2147483647"])
+        assert code == 0
+        assert out.startswith("rep indec_1_1 over F2147483647\n")
+
 
 class TestExt:
     def _write_rep(self, tmp_path, name, text):
@@ -161,6 +173,13 @@ class TestExt:
         assert code == 1
         assert out == ""
         assert err == f"error: line 2: dim of vertex '1' exceeds the bound {MAX_DIM}\n"
+
+    def test_oversized_field_line_exit_1(self, files, tmp_path):
+        big = self._write_rep(tmp_path, "big.rep", "rep B over F2305843009213693951\ndim 1 = 1\n")
+        code, out, err = run_cli(["ext", files["A2_linear"], "--from", big, "--to", big])
+        assert code == 1
+        assert out == ""
+        assert err == "error: prime field modulus must be below 2**31 = 2147483648\n"
 
     def test_field_mismatch_exit_4(self, files, tmp_path):
         a = self._write_rep(tmp_path, "a.rep", "rep A over Q\ndim 1 = 1\ndim 2 = 0\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from quiverrep import __version__
 from quiverrep.dynkin import build_quiver, kronecker_quiver
 from quiverrep.errors import ParseError
 from quiverrep.formats import (
+    MAX_CHAR,
     MAX_DIM,
     field_token,
     parse_field,
@@ -39,6 +41,23 @@ class TestFieldTokens:
         for bad in ("F4", "F1", "F0", "GF2", "R", "", "Q2"):
             with pytest.raises(ParseError):
                 parse_field(bad)
+
+    def test_characteristic_bound_checked_before_primality(self, monkeypatch):
+        def no_primality_test(n):
+            raise AssertionError("primality test reached")
+
+        monkeypatch.setattr("quiverrep.linalg._is_prime", no_primality_test)
+        assert MAX_CHAR == 2**31
+        for bad in ("F2147483648", "F2305843009213693951", "F" + "7" * 5000, "F1" + "0" * 40):
+            with pytest.raises(ParseError, match=r"^prime field modulus must be below 2\*\*31 = 2147483648$"):
+                parse_field(bad)
+
+    def test_largest_prime_below_the_bound_parses_quickly(self):
+        start = time.perf_counter()
+        f = parse_field("F2147483647")
+        assert time.perf_counter() - start < 1.0
+        assert f.char == MAX_CHAR - 1
+        assert parse_field("F0007").char == 7
 
 
 SAMPLE = """\
@@ -141,6 +160,12 @@ class TestRepFile:
         text = "rep M over F2\ndim 1 = 1\ndim 2 = 1\nmap a1 = [[1/2]]\n"
         with pytest.raises(ParseError):
             parse_rep_file(text, q)
+
+    def test_oversized_field_line(self):
+        q = build_quiver("A", 2)
+        for token in ("F2305843009213693951", "F" + "9" * 5000):
+            with pytest.raises(ParseError, match="below 2"):
+                parse_rep_file(f"rep M over {token}\ndim 1 = 1\n", q)
 
     def test_unknown_arrow(self):
         q = build_quiver("A", 2)

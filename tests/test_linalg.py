@@ -192,6 +192,35 @@ def test_prime_field_entries_reduced():
     assert a.entries == (2, 4, 0, 2)
 
 
+mixed_entry_st = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(mixed_entry_st, max_size=12))
+def test_bulk_canonicalization_equals_canon_per_entry(xs):
+    for field in (QQ, F2, Field.prime(3), Field.prime(101)):
+        try:
+            want = tuple(field.canon(x) for x in xs)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                Matrix(field, 1, len(xs), xs)
+            continue
+        got = Matrix(field, 1, len(xs), xs).entries
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_vanishing_denominator_raises_in_the_constructor():
+    with pytest.raises(ZeroDivisionError):
+        Matrix(Field.prime(3), 1, 2, [1, Fraction(1, 6)])
+    assert Matrix(QQ, 1, 2, [True, Fraction(1, 6)]).entries == (Fraction(1), Fraction(1, 6))
+
+
 @st.composite
 def rational_matrices(draw):
     """Rows over Q with a column count, including 0 x n and n x 0 shapes.
@@ -199,18 +228,33 @@ def rational_matrices(draw):
     Entries come from one of three pools per matrix: {0, +-1} (the shape of
     catalog matrices), small integers, or non-integer fractions.  Some
     matrices get a duplicated or summed row, and some a negative first pivot.
+    Two more kinds exercise the column-sliced elimination steps: wide
+    matrices whose leading column and some interior columns are all zero,
+    and integer matrices in [-5, 5] whose first pivot is at least 2 in
+    absolute value, so every later Bareiss step divides by a pivot other
+    than 1.
     """
-    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    entry = draw(
-        st.sampled_from(
-            [
-                st.sampled_from([0, 1, -1]),
-                st.integers(-5, 5),
-                st.fractions(min_value=-5, max_value=5, max_denominator=7),
-            ]
-        )
-    )
+    kind = draw(st.sampled_from(["plain", "wide", "growing"]))
+    pools = [
+        st.sampled_from([0, 1, -1]),
+        st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    ]
+    if kind == "plain":
+        nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        entry = draw(st.sampled_from(pools))
+    elif kind == "wide":
+        nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(6, 10))
+        entry = draw(st.sampled_from(pools))
+    else:
+        nrows, ncols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+        entry = pools[1]
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if kind == "wide":
+        zero_cols = {0} | draw(st.sets(st.integers(1, ncols - 2), min_size=1, max_size=3))
+        rows = [[0 if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
+    elif kind == "growing":
+        rows[0][0] = draw(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]))
     if rows:
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
         extra = draw(st.sampled_from(["none", "duplicate", "sum"]))
@@ -218,7 +262,7 @@ def rational_matrices(draw):
             rows.append(list(rows[i]))
         elif extra == "sum":
             rows.append([a + b for a, b in zip(rows[i], rows[j])])
-    if rows and ncols and draw(st.booleans()):
+    if kind == "plain" and rows and ncols and draw(st.booleans()):
         rows[0][0] = -abs(rows[0][0]) or -1
     return rows, ncols
 
@@ -255,6 +299,16 @@ def test_rational_elimination_matches_textbook_gauss_jordan(data, rhs):
             expected[c] = aug[k][ncols]
         assert x == tuple(expected)
         assert _times(rows, x) == [Fraction(v) for v in b]
+
+    for p in (3, 101):
+        if any(Fraction(v).denominator % p == 0 for row in rows for v in row):
+            continue
+        ap = Matrix.from_rows(Field.prime(p), rows, cols=ncols)
+        want_p, want_p_pivots = gauss_rref(rows, ncols, p)
+        rp, pivots_p = rref(ap)
+        assert rp.entries == tuple(x for row in want_p for x in row)
+        assert pivots_p == tuple(want_p_pivots)
+        assert rank(ap) == len(want_p_pivots)
 
 
 def test_rational_rank_and_rref_construct_no_intermediate_fractions(monkeypatch):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverrep.dynkin import build_quiver, kronecker_quiver, orientation_schemes
 from quiverrep.errors import MismatchError
+from quiverrep.formats import parse_quiver_file
 from quiverrep.linalg import Field, Matrix, QQ, rank
 from quiverrep.quiver import Quiver, euler_form
 from quiverrep.rep import (
@@ -26,7 +29,7 @@ from quiverrep.rep import (
     isomorphism_verdict,
 )
 
-from oracles import naive_hom_ext
+from oracles import columnwise_commutation_map, naive_hom_ext
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -255,3 +258,50 @@ def test_morphism_bases_satisfy_commutation_exactly(data):
             left = u[a.target] @ m.maps[k]
             right = n.maps[k] @ u[a.source]
             assert left == right
+
+
+SHIPPED = sorted((Path(__file__).parent.parent / "quivers").glob("*.quiver"))
+LOOPS_AND_TWO_CYCLE = Quiver.from_edges(
+    ("x", "y"), (("l1", 0, 0), ("u", 0, 1), ("v", 1, 0), ("l2", 1, 1)), "loops_and_two_cycle"
+)
+
+
+def fractional_rep(q: Quiver, field: Field, rng: random.Random, max_dim: int) -> Representation:
+    """Random entries: non-integer fractions over Q, any residue over F_p."""
+    dims = tuple(rng.randint(0, max_dim) for _ in range(q.vertex_count))
+    maps = {}
+    for a in q.arrows:
+        r, c = dims[a.target], dims[a.source]
+        if field.is_rational:
+            ents = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(r * c)]
+        else:
+            ents = [rng.randrange(field.char) for _ in range(r * c)]
+        maps[a.name] = Matrix(field, r, c, ents)
+    return Representation.from_maps(q, field, dims, maps)
+
+
+@pytest.mark.parametrize(
+    "quiver", [pytest.param(p, id=p.stem) for p in SHIPPED] + [pytest.param(None, id="loops_and_two_cycle")]
+)
+def test_commutation_map_matches_columnwise_reference(quiver):
+    q = LOOPS_AND_TWO_CYCLE if quiver is None else parse_quiver_file(quiver.read_text())
+    rng = random.Random(f"commutation:{q.name}")
+    max_dim = 3 if q.vertex_count <= 4 else 2
+    for field in (QQ, F2, F3, Field.prime(101)):
+        for _ in range(3):
+            m, n = fractional_rep(q, field, rng, max_dim), fractional_rep(q, field, rng, max_dim)
+            phi = commutation_map(m, n)
+            assert (phi.rows, phi.cols, phi.entries) == columnwise_commutation_map(m, n)
+            if quiver is None:
+                assert hom_ext_dims(m, n) == naive_hom_ext(m, n)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=str)
+def test_jordan_block_loop_adds_both_terms(field):
+    q = Quiver.from_edges(("x",), (("l", 0, 0),), "jordan")
+    m = Representation.from_maps(q, field, (2,), {"l": Matrix.from_rows(field, [[1, 1], [0, 1]])})
+    phi = commutation_map(m, m)
+    assert (phi.rows, phi.cols, phi.entries) == columnwise_commutation_map(m, m)
+    assert hom_ext_dims(m, m) == naive_hom_ext(m, m) == (2, 2)
+    assert hom_space(m, m).dimension == ext1_space(m, m).dimension == 2
+    assert end_dim(m) == 2 and not is_schur(m)
