@@ -41,6 +41,13 @@ EXIT_NOT_ROOT = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 EXIT_USAGE = 6
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    InfiniteTypeError: EXIT_INFINITE,
+    NotARootError: EXIT_NOT_ROOT,
+    MismatchError: EXIT_MISMATCH,
+    InternalInvariantError: EXIT_INTERNAL,
+}
 
 
 class _UsageError(Exception):
@@ -57,8 +64,14 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, or a NUL in the path
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _error(message) -> None:
+    """Print `error: <message>` on one line, unprintable characters escaped."""
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
+    print(f"error: {text}", file=sys.stderr)
 
 
 def _load_quiver(path: str):
@@ -86,6 +99,8 @@ def _cmd_classify(args) -> int:
         else:
             print("verdict: infinite representation type")
             print(f"reason: {verdict.witness}")
+    if not verdict.finite:
+        _error(f"infinite representation type: {verdict.witness}")
     return EXIT_OK if verdict.finite else EXIT_INFINITE
 
 
@@ -167,8 +182,10 @@ def _cmd_verify_udr(args) -> int:
             print(
                 f"root {_fmt_root(d)}: end={report.end_dim} ext={report.ext_dim} {report.describe()}"
             )
-        ok = report.verdict is UDRVerdict.ISOMORPHIC_TO_K
-        return EXIT_OK if ok else EXIT_INTERNAL
+        if report.verdict is UDRVerdict.ISOMORPHIC_TO_K:
+            return EXIT_OK
+        _error(f"root {_fmt_root(d)} violates the theorem")
+        return EXIT_INTERNAL
     catalog = all_indecomposables(Q, field)
     entries = []
     verified = 0
@@ -202,10 +219,7 @@ def _cmd_verify_udr(args) -> int:
             )
         print(f"THEOREM VERIFIED: {verified}/{total} indecomposables have R(kQ,M) ≅ k")
     if verified != total:
-        print(
-            f"error: {total - verified} indecomposable(s) violate the theorem",
-            file=sys.stderr,
-        )
+        _error(f"{total - verified} indecomposable(s) violate the theorem")
         return EXIT_INTERNAL
     return EXIT_OK
 
@@ -263,25 +277,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfiniteTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
-    except NotARootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ROOT
-    except MismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except InternalInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except tuple(_EXIT_CODES) as exc:
+        _error(exc)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entry() -> None:

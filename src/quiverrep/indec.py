@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError
-from .linalg import Field, Matrix, column_space_pivots, kernel_basis
+from .linalg import Field, Matrix, kernel_basis
 from .quiver import Quiver, classify, tits_form
 from .rep import Representation, is_schur
 from .roots import RootSet, positive_roots, simple_reflection
@@ -97,21 +97,10 @@ def reflect_at_source(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Rep
     out_idx = [k for k, a in enumerate(Q.arrows) if a.source == i]
     blocks = [M.maps[k] for k in out_idx]
     assembled = Matrix.vstack(field, blocks, M.dims[i])
-    total = assembled.rows
-    pivots, col_basis = column_space_pivots(assembled)
-    nonpivots = [t for t in range(total) if t not in set(pivots)]
-    new_dim = len(nonpivots)
-    # Projection onto the cokernel in the basis of non-pivot coordinates:
-    # x maps to its non-pivot coordinates after subtracting the unique
-    # column-space combination matching x on the pivot coordinates.
-    zero = field.zero()
-    proj_rows = []
-    for q in nonpivots:
-        row = [zero] * total
-        row[q] = field.one()
-        for k, pcoord in enumerate(pivots):
-            row[pcoord] = field.neg(col_basis.entry(k, q))
-        proj_rows.append(row)
+    # Row q of the projection onto the cokernel is e_q - sum_k R[k, q] e_{p_k},
+    # R = rref(assembled^T) with pivots p_k: its kernel vector at free column q.
+    proj_rows = kernel_basis(assembled.transpose())
+    new_dim = len(proj_rows)
     offsets = {}
     pos = 0
     for k in out_idx:

@@ -1,19 +1,16 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rational matrices are eliminated in integers only.  Each row is scaled by
-the lcm of its denominators, then reduced by fraction-free (Bareiss)
-elimination with positive pivots, so intermediate entries stay bounded by
-minors of the input.  `rank` stops after the forward pass.  `rref` runs the
-same fraction-free step above each pivot as well (Gauss-Jordan), which
-leaves every pivot equal to the last one, D; the reduced form is then the
-integer result divided by D, one division per nonzero entry at the end.
-Prime-field matrices use plain modular elimination.  An elimination step
-updates a row only from the pivot column on wherever that is exact: every
-row over F_p, the rows below the pivot over Q (the Gauss-Jordan rows above
-a Bareiss pivot are rescaled, so they are updated whole).  All results are
-exact, and pivoting is canonical (first nonzero entry in column order,
-lowest row first), so every basis this module returns is reproducible bit
-for bit.
+Every routine runs one forward elimination, then back-substitutes only the
+columns it needs: none for `rank` and `cokernel_basis`, the free columns for
+`kernel_basis` and `rref`, the right-hand side for `solve`.  Rational rows
+are scaled to integers by the lcm of their denominators and reduced by
+fraction-free (Bareiss) elimination with positive pivots, so entries stay
+bounded by minors of the input; the back substitution solves for D*x, D the
+last pivot, with checked exact divisions and one Fraction per nonzero entry
+at the end.  Prime-field rows use modular elimination with unit pivots.  A
+step updates the rows below the pivot from the pivot column on.  Pivoting
+is canonical (first nonzero entry in column order, lowest row first), so
+every basis returned is reproducible bit for bit.
 
 A `Matrix` canonicalizes its entries in one pass per field: ints are reduced
 mod p directly, Fractions over Q are kept, and any other input goes through
@@ -26,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
+
+from .errors import InternalInvariantError
 
 __all__ = [
     "Field",
@@ -269,12 +268,6 @@ class Matrix:
             rows += m.rows
         return Matrix(field, rows, cols, flat)
 
-    def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "Matrix":
-        flat = []
-        for i in range(row_start, row_stop):
-            flat.extend(self.entries[i * self.cols + col_start : i * self.cols + col_stop])
-        return Matrix(self.field, row_stop - row_start, col_stop - col_start, flat)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -310,19 +303,16 @@ def _integer_rows(frac_rows: list[list[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list[int]:
-    """Fraction-free Gauss(-Jordan) elimination in place; returns pivot columns.
+def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination in place; returns pivot columns.
 
     A pivot row whose pivot is negative is negated, which is the same as
     negating that input row, so every pivot is positive and a matrix of
     +-1 pivots keeps the divisor at 1.  After step k every entry is, up to
     those signs, a (k+1)-minor of the input, so the exact integer divisions
-    by the previous pivot never truncate.  With `full`, rows above the pivot
-    are eliminated too, and every pivot row ends with the last pivot at its
-    pivot column.  Rows from the pivot row down are zero left of the pivot
-    column, so they are updated from that column on; rows above it have
-    nonzero entries there that the step still rescales, so they are updated
-    whole.
+    by the previous pivot never truncate.  Rows below the pivot row are zero
+    left of the pivot column, so each step updates them from that column on.
+    Entries above the pivots stay; `_back_substitute` reads the reduced form.
     """
     pivots: list[int] = []
     prev = 1
@@ -339,23 +329,20 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list
             piv = -piv
             piv_row[c:] = [-a for a in piv_row[c:]]
         piv_tail = piv_row[c:]
-        for i in range(m) if full else range(r + 1, m):
-            if i == r:
-                continue
+        for i in range(r + 1, m):
             ri = rows_[i]
             f = ri[c]
             if not f and piv == prev:
                 continue
-            s, pb = (c, piv_tail) if i > r else (0, piv_row)
             if f:
                 if prev == 1:
-                    ri[s:] = [a * piv - f * b for a, b in zip(ri[s:], pb)]
+                    ri[c:] = [a * piv - f * b for a, b in zip(ri[c:], piv_tail)]
                 else:
-                    ri[s:] = [(a * piv - f * b) // prev for a, b in zip(ri[s:], pb)]
+                    ri[c:] = [(a * piv - f * b) // prev for a, b in zip(ri[c:], piv_tail)]
             elif prev == 1:
-                ri[s:] = [a * piv for a in ri[s:]]
+                ri[c:] = [a * piv for a in ri[c:]]
             else:
-                ri[s:] = [(a * piv) // prev for a in ri[s:]]
+                ri[c:] = [(a * piv) // prev for a in ri[c:]]
         prev = piv
         pivots.append(c)
         r += 1
@@ -364,12 +351,12 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int, full: bool) -> list
     return pivots
 
 
-def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int, full: bool) -> list[int]:
-    """Modular Gauss(-Jordan) elimination in place; returns pivot columns.
+def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int) -> list[int]:
+    """Modular forward elimination in place with unit pivots; returns pivot columns.
 
     The pivot row is zero left of the pivot column, so a step leaves those
-    columns of every row as they are and each row is updated from the pivot
-    column on.
+    columns of every row as they are and each row below it is updated from
+    the pivot column on.
     """
     pivots: list[int] = []
     r = 0
@@ -384,9 +371,7 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int, full: bool) ->
         if inv != 1:
             prow[c:] = [(x * inv) % p for x in prow[c:]]
         ptail = prow[c:]
-        for i in range(m) if full else range(r + 1, m):
-            if i == r:
-                continue
+        for i in range(r + 1, m):
             ri = rows_[i]
             f = ri[c]
             if f:
@@ -398,48 +383,86 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int, full: bool) ->
     return pivots
 
 
-def _rref_rational(A: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    rows_ = _integer_rows(A.row_lists())
-    pivots = _bareiss_echelon(rows_, A.rows, A.cols, full=True)
-    d = rows_[len(pivots) - 1][pivots[-1]] if pivots else 1
-    frows = [[Fraction(x, d) if x else _ZERO for x in r] for r in rows_]
-    return frows, pivots
+def _echelon(A: Matrix) -> tuple[list[list[int]], list[int]]:
+    """A's rows after forward elimination (integers over Q), and its pivot columns."""
+    if A.field.is_rational:
+        rows_ = _integer_rows(A.row_lists())
+        return rows_, _bareiss_echelon(rows_, A.rows, A.cols)
+    rows_ = A.row_lists()
+    return rows_, _fp_eliminate(rows_, A.rows, A.cols, A.field.char)
+
+
+def _back_substitute(A: Matrix, rows_: list[list[int]], pivots: list[int], cols: list[int]) -> list[list]:
+    """Columns `cols` of rref(A), one list per pivot row, from A's echelon rows.
+
+    Column j solves U x = u_j, U the echelon rows at the pivot columns.  Over
+    Q this solves for y = D x, D the last Bareiss pivot, which is integral by
+    Cramer's rule, so each division by a row's pivot is exact (a remainder
+    means a corrupt echelon form); over F_p the pivots and D are 1.
+    """
+    r, p = len(pivots), A.field.char
+    big_d = rows_[r - 1][pivots[-1]] if r else 1
+    ys: list[list[int]] = [[]] * r
+    for k in reversed(range(r)):
+        row = rows_[k]
+        acc = [big_d * row[j] for j in cols]
+        for l in range(k + 1, r):
+            f = row[pivots[l]]
+            if f:
+                acc = [a - f * b for a, b in zip(acc, ys[l])]
+        d = row[pivots[k]]
+        if p:
+            acc = [a % p for a in acc]
+        elif d != 1:
+            qr = [divmod(a, d) for a in acc]
+            if any(rem for _, rem in qr):
+                raise InternalInvariantError(
+                    f"back substitution on a {A.rows}x{A.cols} matrix: row {k} is not divisible by its pivot {d}"
+                )
+            acc = [q for q, _ in qr]
+        ys[k] = acc
+    if p:
+        return ys
+    return [[Fraction(y, big_d) if y else _ZERO for y in row] for row in ys]
+
+
+def _free_columns(n: int, pivots: list[int]) -> list[int]:
+    pivot_set = set(pivots)
+    return [j for j in range(n) if j not in pivot_set]
 
 
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (unique, hence canonical)."""
-    if A.field.is_rational:
-        rows_, pivots = _rref_rational(A)
-    else:
-        rows_ = A.row_lists()
-        pivots = _fp_eliminate(rows_, A.rows, A.cols, A.field.char, full=True)
-    flat = [x for r in rows_ for x in r]
-    return Matrix(A.field, A.rows, A.cols, flat), tuple(pivots)
+    rows_, pivots = _echelon(A)
+    free = _free_columns(A.cols, pivots)
+    vals = _back_substitute(A, rows_, pivots, free)
+    field, n = A.field, A.cols
+    flat = [_ZERO if field.is_rational else 0] * (A.rows * n)
+    for k, pc in enumerate(pivots):
+        flat[k * n + pc] = field.one()
+        for j, x in zip(free, vals[k]):
+            flat[k * n + j] = x
+    return Matrix(field, A.rows, n, flat), tuple(pivots)
 
 
 def rank(A: Matrix) -> int:
     """Exact rank via forward elimination only."""
-    if A.field.is_rational:
-        rows_ = _integer_rows(A.row_lists())
-        return len(_bareiss_echelon(rows_, A.rows, A.cols, full=False))
-    rows_ = A.row_lists()
-    return len(_fp_eliminate(rows_, A.rows, A.cols, A.field.char, full=False))
+    return len(_echelon(A)[1])
 
 
 def kernel_basis(A: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel {x : Ax = 0}, one vector per free column."""
-    R, pivots = rref(A)
-    pivot_set = set(pivots)
+    rows_, pivots = _echelon(A)
+    free = _free_columns(A.cols, pivots)
+    vals = _back_substitute(A, rows_, pivots, free)
     field = A.field
     zero, one = field.zero(), field.one()
     basis = []
-    for free in range(A.cols):
-        if free in pivot_set:
-            continue
+    for t, j in enumerate(free):
         v = [zero] * A.cols
-        v[free] = one
+        v[j] = one
         for k, pc in enumerate(pivots):
-            v[pc] = field.neg(R.entry(k, free))
+            v[pc] = field.neg(vals[k][t])
         basis.append(tuple(v))
     return basis
 
@@ -447,27 +470,12 @@ def kernel_basis(A: Matrix) -> list[tuple]:
 def cokernel_basis(A: Matrix) -> list[tuple]:
     """Standard-basis representatives of target/im(A), one per non-pivot coordinate.
 
-    Coordinates are pivots of the column space (rref of the transpose); the
-    remaining standard basis vectors descend to a basis of the cokernel.
+    Coordinates are pivots of the column space (forward pass on the transpose);
+    the remaining standard basis vectors descend to a basis of the cokernel.
     """
-    _, pivots = rref(A.transpose())
-    pivot_set = set(pivots)
-    field = A.field
-    zero, one = field.zero(), field.one()
-    reps = []
-    for i in range(A.rows):
-        if i in pivot_set:
-            continue
-        v = [zero] * A.rows
-        v[i] = one
-        reps.append(tuple(v))
-    return reps
-
-
-def column_space_pivots(A: Matrix) -> tuple[tuple[int, ...], Matrix]:
-    """Pivot coordinates of im(A) and the reduced basis of im(A) as rows."""
-    R, pivots = rref(A.transpose())
-    return tuple(pivots), R.submatrix(0, len(pivots), 0, A.rows)
+    zero, one = A.field.zero(), A.field.one()
+    free = _free_columns(A.rows, _echelon(A.transpose())[1])
+    return [tuple(one if t == i else zero for t in range(A.rows)) for i in free]
 
 
 def solve(A: Matrix, b: Sequence):
@@ -475,14 +483,13 @@ def solve(A: Matrix, b: Sequence):
     b = [A.field.canon(x) for x in b]
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != row count {A.rows}")
-    bmat = Matrix(A.field, A.rows, 1, b)
-    aug = Matrix.hstack(A.field, [A, bmat], A.rows)
-    R, pivots = rref(aug)
+    aug = Matrix.hstack(A.field, [A, Matrix(A.field, A.rows, 1, b)], A.rows)
+    rows_, pivots = _echelon(aug)
     if A.cols in pivots:
         return None
     x = [A.field.zero()] * A.cols
-    for k, pc in enumerate(pivots):
-        x[pc] = R.entry(k, A.cols)
+    for pc, (val,) in zip(pivots, _back_substitute(aug, rows_, pivots, [A.cols])):
+        x[pc] = val
     return tuple(x)
 
 
@@ -492,7 +499,7 @@ def inverse(A: Matrix) -> Matrix:
         raise ValueError("inverse requires a square matrix")
     n = A.rows
     aug = Matrix.hstack(A.field, [A, Matrix.identity(A.field, n)], n)
-    R, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
+    rows_, pivots = _echelon(aug)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return R.submatrix(0, n, n, 2 * n)
+    return Matrix.from_rows(A.field, _back_substitute(aug, rows_, pivots, list(range(n, 2 * n))), cols=n)

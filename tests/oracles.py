@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch: plain Gauss elimination
 instead of fraction-free pivoting, Laplace minor expansion, a numpy box scan
 for roots, and a hom/ext constraint system assembled in its own coordinate
 order.  The column-by-column commutation map is the library's earlier
-assembly, kept as the reference for the row-by-row one.  None of it shares
+assembly, kept as the reference for the row-by-row one, and the column-space
+pivot projection is the dual reflection functor's earlier construction, kept
+as the reference for the kernel-of-the-transpose one.  None of it shares
 code with the package under test.
 """
 
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from quiverrep.linalg import Matrix
 from quiverrep.quiver import Quiver
 from quiverrep.rep import Representation
 
@@ -215,3 +218,37 @@ def columnwise_commutation_map(M: Representation, N: Representation) -> tuple[in
                 cols.append(col)
     dom = len(cols)
     return cod, dom, tuple(cols[j][i] for i in range(cod) for j in range(dom))
+
+
+def reflect_at_source_by_projection(Q: Quiver, i: int, M: Representation) -> Representation:
+    """The dual BGP functor at source i, its projection built from column-space pivots.
+
+    The outgoing maps are stacked, in arrow order, into one matrix A.  The
+    pivots p_k of rref(A^T), by `gauss_rref`, are the pivot coordinates of
+    im(A); the projection onto the cokernel has one row per other coordinate
+    q, namely e_q minus entry (k, q) of rref(A^T) at each p_k.  Its column
+    blocks, one per outgoing arrow, are the reversed arrow maps.
+    """
+    p = M.field.char or None
+    stacked = [list(M.maps[k].row(t)) for k, a in enumerate(Q.arrows) if a.source == i for t in range(M.maps[k].rows)]
+    total = len(stacked)
+    reduced, pivots = gauss_rref([[row[j] for row in stacked] for j in range(M.dims[i])], total, p)
+    proj = []
+    for q in range(total):
+        if q in pivots:
+            continue
+        row = [0] * total
+        row[q] = 1
+        for k, pc in enumerate(pivots):
+            row[pc] = -reduced[k][q]
+        proj.append(row)
+    maps, off = [], 0
+    for k, a in enumerate(Q.arrows):
+        if a.source == i:
+            width = M.dims[a.target]
+            maps.append(Matrix.from_rows(M.field, [r[off : off + width] for r in proj], cols=width))
+            off += width
+        else:
+            maps.append(M.maps[k])
+    dims = tuple(len(proj) if j == i else d for j, d in enumerate(M.dims))
+    return Representation(Q.reverse_arrows_at(i), M.field, dims, tuple(maps))

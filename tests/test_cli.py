@@ -244,6 +244,34 @@ class TestUsageErrors:
         assert exc.value.code == 0
 
 
+class TestOneLineErrors:
+    """Inputs the CLI fuzz test turned up: each ends in its exit code with
+    one `error:` line."""
+
+    def test_undecodable_file_exit_1(self, tmp_path):
+        p = tmp_path / "latin1.quiver"
+        p.write_bytes(b"quiver caf\xe9\nvertices: a\n")
+        code, out, err = run_cli(["classify", str(p)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+    def test_nul_in_path_exit_1(self):
+        code, _, err = run_cli(["classify", "a\x00b.quiver"])
+        assert code == 1
+        assert err == "error: cannot read a\\x00b.quiver: embedded null byte\n"
+
+    def test_line_break_in_argv_is_escaped(self, files):
+        code, _, err = run_cli(["classify", files["A2_linear"], "x\ny"])
+        assert code == 6
+        assert err == "error: quiverrep: unrecognized arguments: x\\ny\n"
+
+    def test_infinite_classify_names_the_reason(self, files):
+        code, out, err = run_cli(["classify", files["kronecker"]])
+        assert code == 2
+        assert "verdict: infinite representation type" in out
+        assert err.startswith("error: infinite representation type: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, files):
         argv = ["verify-udr", files["A3_linear"], "--field", "Q", "--format", "json", "--seed", "0"]

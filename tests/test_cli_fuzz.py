@@ -1,0 +1,118 @@
+"""Hypothesis fuzz of the command line: mutated quiver and rep files and argv.
+
+Whatever the input, `main` must end in a documented exit code, 0 to 6.  A
+nonzero exit prints exactly one line to stderr, starting with `error: `, and
+a zero exit prints nothing there.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
+from quiverrep.formats import quiver_file_text, rep_file_text
+from quiverrep.indec import construct_indecomposable
+from quiverrep.linalg import Field, QQ
+
+from conftest import run_cli
+
+A3 = build_quiver("A", 3)
+D4 = build_quiver("D", 4, "alternating")
+QUIVER_TEXTS = [quiver_file_text(q) for q in (A3, D4, kronecker_quiver(), cycle_quiver(3))]
+REP_TEXTS = [
+    rep_file_text(construct_indecomposable(A3, (1, 1, 1), QQ), "P"),
+    rep_file_text(construct_indecomposable(A3, (0, 1, 1), Field.prime(3)), "M"),
+    "rep F over Q\ndim 1 = 2\ndim 2 = 1\nmap a1 = [[1/2, -3]]\n",
+]
+
+# Fragments of the file grammar, near-miss tokens and characters a parser
+# may mishandle: line breaks, NUL, a non-ASCII digit and a line separator.
+PIECES = [
+    "quiver", "vertices:", "arrow", "rep", "over", "dim", "map", "->", ":", "=",
+    "[", "]", "[[", "]]", ",", "/", "-", "#", " ", "\n", "\r", "\t", "\x00",
+    "0", "1", "2", "16", "17", "-1", "1/0", "99999999999999999999", "Q", "F2",
+    "F3", "F4", "F101", "F2147483648", "a1", "3", "x", "é", "\u0663", "\u2028",
+]
+FIELDS = ["Q", "F2", "F3", "F5", "F4", "F0", "F2147483648", "q", ""]
+DIMS = ["1,1,1", "0,1,1", "1,1,1,1", "1,2,1,1", "1,1", "2,2,2", "-1,2", "1,,1", "x", "", "1\n1"]
+
+piece = st.sampled_from(PIECES)
+
+
+@st.composite
+def mutated(draw, texts):
+    """A base text with a few insertions, deletions and line edits, as bytes,
+    sometimes with a byte that is not UTF-8."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "duplicate", "drop", "swap"]))
+        lines = text.split("\n")
+        if op == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + "".join(draw(st.lists(piece, min_size=1, max_size=3))) + text[at:]
+        elif op == "delete":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + text[at + draw(st.integers(1, 6)) :]
+        else:
+            k = draw(st.integers(0, len(lines) - 1))
+            if op == "duplicate":
+                lines.insert(k, lines[k])
+            elif op == "drop":
+                del lines[k]
+            else:
+                j = draw(st.integers(0, len(lines) - 1))
+                lines[k], lines[j] = lines[j], lines[k]
+            text = "\n".join(lines)
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def argvs(draw):
+    quiver, rep1, rep2 = "QUIVER", "REP1", "REP2"
+    command = draw(st.sampled_from(["classify", "roots", "indec", "ext", "verify-udr"]))
+    argv = [command, quiver]
+    if command in ("indec", "verify-udr"):
+        argv += ["--field", draw(st.sampled_from(FIELDS))]
+        if command == "indec" or draw(st.booleans()):
+            argv += ["--dim", draw(st.sampled_from(DIMS))]
+    if command == "ext":
+        argv += ["--from", rep1, "--to", draw(st.sampled_from([rep1, rep2]))]
+    if command != "indec" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["table", "json", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "x"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["drop", "duplicate", "splice", "insert"]))
+        k = draw(st.integers(0, len(argv) - 1))
+        if op == "drop":
+            del argv[k]
+        elif op == "duplicate":
+            argv.insert(k, argv[k])
+        elif op == "splice":
+            argv[k] += draw(piece)
+        else:
+            argv.insert(k, draw(st.sampled_from(PIECES + ["--dim", "--field", "--from", "missing.rep"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), quiver=mutated(QUIVER_TEXTS), rep1=mutated(REP_TEXTS), rep2=mutated(REP_TEXTS))
+def test_every_input_ends_in_a_documented_exit_code(argv, quiver, rep1, rep2):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in (("QUIVER", quiver), ("REP1", rep1), ("REP2", rep2)):
+            paths[name] = Path(tmp) / f"{name.lower()}.txt"
+            paths[name].write_bytes(data)
+        code, _, err = run_cli([str(paths.get(a, a)) for a in argv])
+    assert code in range(7)
+    if code:
+        assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""

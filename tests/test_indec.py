@@ -24,6 +24,7 @@ from quiverrep.rep import Representation, hom_ext_dims, is_isomorphic, is_schur
 from quiverrep.roots import positive_roots, simple_reflection
 
 from conftest import run_cli
+from oracles import reflect_at_source_by_projection
 
 F2 = Field.prime(2)
 
@@ -183,6 +184,29 @@ class TestSharedWalks:
         monkeypatch.setattr(indec, "reflect_at_source", counted)
         all_indecomposables(shipped_quiver(filename), F2)
         assert count["calls"] == calls
+
+
+class TestProjectionOracle:
+    @pytest.mark.parametrize("filename", SHIPPED_FINITE)
+    def test_reflect_at_source_matches_column_space_projection(self, monkeypatch, filename):
+        """Every functor input of the Q, F2 and F3 catalogs, against the
+        projection built from the pivots of rref(A^T) by plain Gauss-Jordan."""
+        calls = []
+        original = indec.reflect_at_source
+
+        def recorded(Q, i, M):
+            out = original(Q, i, M)
+            calls.append((Q, i, M, out))
+            return out
+
+        monkeypatch.setattr(indec, "reflect_at_source", recorded)
+        q = shipped_quiver(filename)
+        for field in (QQ, F2, Field.prime(3)):
+            all_indecomposables(q, field)
+        assert calls or q.vertex_count == 1
+        for Q, i, M, (new_q, got) in calls:
+            want = reflect_at_source_by_projection(Q, i, M)
+            assert new_q == want.quiver and got == want, (Q.name, i, M.dims)
 
 
 class TestInvariantMessages:

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverrep.errors import InternalInvariantError
 from quiverrep.linalg import (
+    _back_substitute,
     Field,
     Matrix,
     QQ,
@@ -271,6 +273,34 @@ def _times(rows, v):
     return [sum((Fraction(a) * x for a, x in zip(r, v)), Fraction(0)) for r in rows]
 
 
+def _cokernel_oracle(rows, ncols, p=None):
+    """Unit vectors at the coordinates that are not pivots of gauss_rref(A^T)."""
+    _, pivots = gauss_rref([[row[j] for row in rows] for j in range(ncols)], len(rows), p)
+    return [tuple(int(t == q) for t in range(len(rows))) for q in range(len(rows)) if q not in pivots]
+
+
+def _kernel_oracle(reduced, pivots, ncols):
+    """One vector per free column f: 1 at f, minus column f of the rref at the pivots."""
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for k, c in enumerate(pivots):
+            v[c] = -reduced[k][f]
+        basis.append(v)
+    return basis
+
+
+def _solve_oracle(rows, ncols, b, p=None):
+    aug, aug_pivots = gauss_rref([row + [x] for row, x in zip(rows, b)], ncols + 1, p)
+    if ncols in aug_pivots:
+        return None
+    expected = [0] * ncols
+    for k, c in enumerate(aug_pivots):
+        expected[c] = aug[k][ncols]
+    return expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=rational_matrices(), rhs=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
 def test_rational_elimination_matches_textbook_gauss_jordan(data, rhs):
@@ -287,16 +317,15 @@ def test_rational_elimination_matches_textbook_gauss_jordan(data, rhs):
     for v in basis:
         assert _times(rows, v) == [0] * len(rows)
     assert gauss_rank([list(v) for v in basis]) == len(basis)
+    assert basis == [tuple(v) for v in _kernel_oracle(want, want_pivots, ncols)]
+    assert cokernel_basis(a) == _cokernel_oracle(rows, ncols)
 
     b = rhs[: len(rows)]
-    aug, aug_pivots = gauss_rref([row + [x] for row, x in zip(rows, b)], ncols + 1)
     x = solve(a, b)
-    if ncols in aug_pivots:
+    expected = _solve_oracle(rows, ncols, b)
+    if expected is None:
         assert x is None
     else:
-        expected = [Fraction(0)] * ncols
-        for k, c in enumerate(aug_pivots):
-            expected[c] = aug[k][ncols]
         assert x == tuple(expected)
         assert _times(rows, x) == [Fraction(v) for v in b]
 
@@ -309,6 +338,21 @@ def test_rational_elimination_matches_textbook_gauss_jordan(data, rhs):
         assert rp.entries == tuple(x for row in want_p for x in row)
         assert pivots_p == tuple(want_p_pivots)
         assert rank(ap) == len(want_p_pivots)
+        assert kernel_basis(ap) == [tuple(x % p for x in v) for v in _kernel_oracle(want_p, want_p_pivots, ncols)]
+        assert cokernel_basis(ap) == _cokernel_oracle(rows, ncols, p)
+        expected_p = _solve_oracle(rows, ncols, b, p)
+        assert solve(ap, b) == (None if expected_p is None else tuple(expected_p))
+
+
+def test_back_substitution_rejects_a_corrupt_echelon_form():
+    # A 2x3 echelon form with pivots 2 and 3 (so D = 3) whose entry (0, 1)
+    # was zeroed: row 0 then needs 3 * 1 - 0 * 1 = 3 divided by its pivot 2.
+    # The matrix argument only supplies the field and the shape.
+    shape = Matrix.zeros(QQ, 2, 3)
+    with pytest.raises(InternalInvariantError, match=r"2x3 matrix: row 0 is not divisible by its pivot 2"):
+        _back_substitute(shape, [[2, 0, 1], [0, 3, 1]], [0, 1], [2])
+    # uncorrupted, column 2 of the reduced form is (1/3, 1/3)
+    assert _back_substitute(shape, [[2, 1, 1], [0, 3, 1]], [0, 1], [2]) == [[Fraction(1, 3)], [Fraction(1, 3)]]
 
 
 def test_rational_rank_and_rref_construct_no_intermediate_fractions(monkeypatch):
