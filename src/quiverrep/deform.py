@@ -39,10 +39,6 @@ class DualNumberLift:
     base: Representation
     perturbation: tuple[Matrix, ...]
 
-    def reduction(self) -> Representation:
-        """Reduce mod eps; returns the base representation exactly."""
-        return self.base
-
 
 class UDRVerdict(Enum):
     ISOMORPHIC_TO_K = "isomorphic_to_k"
@@ -56,10 +52,6 @@ class UDRReport:
 
     end_dim: int
     ext_dim: int
-
-    @property
-    def has_universal_ring(self) -> bool:
-        return self.end_dim == 1
 
     @property
     def verdict(self) -> UDRVerdict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError
 from .linalg import Field, Matrix, kernel_basis
-from .quiver import Quiver, classify, tits_form
+from .quiver import Arrow, Quiver, classify, tits_form
 from .rep import Representation, is_schur
 from .roots import RootSet, positive_roots, simple_reflection
 
@@ -52,37 +52,27 @@ class IndecCatalog:
         return RootSet(self.quiver, tuple(r for r, _ in self.entries))
 
 
+def _dual(M: Representation) -> Representation:
+    """The dual D M over the opposite quiver: every arrow reversed, every map
+    transposed (coordinates of each dual space in the dual basis)."""
+    Q = M.quiver
+    opposite = Quiver(Q.labels, tuple(Arrow(a.name, a.target, a.source) for a in Q.arrows), Q.name)
+    return Representation(opposite, M.field, M.dims, tuple(f.transpose() for f in M.maps))
+
+
 def reflect_at_sink(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Representation]:
-    """BGP functor at a sink: the vertex space becomes the kernel of the
-    assembled incoming map, incident arrows reverse, and the reversed arrow
-    maps are the block rows of the canonical kernel inclusion."""
+    """BGP functor at a sink, as D o (functor at the source i of the opposite
+    quiver) o D: the vertex space becomes the kernel of the assembled incoming
+    map, incident arrows reverse, and the reversed arrow maps are the block
+    rows of the canonical kernel inclusion."""
     if M.quiver != Q:
         raise ValueError("representation is not over the given quiver")
     if not Q.is_sink(i):
         raise ValueError(f"vertex {i} is not a sink")
-    field = M.field
-    in_idx = [k for k, a in enumerate(Q.arrows) if a.target == i]
-    blocks = [M.maps[k] for k in in_idx]
-    assembled = Matrix.hstack(field, blocks, M.dims[i])
-    kernel = kernel_basis(assembled)
-    new_dim = len(kernel)
-    offsets = {}
-    pos = 0
-    for k in in_idx:
-        offsets[k] = pos
-        pos += M.dims[Q.arrows[k].source]
-    new_quiver = Q.reverse_arrows_at(i)
-    new_dims = tuple(new_dim if j == i else d for j, d in enumerate(M.dims))
-    new_maps = []
-    for k, a in enumerate(Q.arrows):
-        if a.target == i:
-            src_dim = M.dims[a.source]
-            off = offsets[k]
-            flat = [kernel[c][off + r] for r in range(src_dim) for c in range(new_dim)]
-            new_maps.append(Matrix(field, src_dim, new_dim, flat))
-        else:
-            new_maps.append(M.maps[k])
-    return new_quiver, Representation(new_quiver, field, new_dims, tuple(new_maps))
+    dual = _dual(M)
+    _, N = reflect_at_source(dual.quiver, i, dual)
+    N = _dual(N)
+    return N.quiver, N
 
 
 def reflect_at_source(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Representation]:

@@ -35,7 +35,6 @@ __all__ = [
     "kernel_basis",
     "cokernel_basis",
     "solve",
-    "inverse",
 ]
 
 
@@ -56,7 +55,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """The rationals (char 0) or the prime field with `char` elements.
+    """The rationals (`Field(0)`, also `QQ`) or the prime field with `char` elements.
 
     Rational elements are `fractions.Fraction` in lowest terms; prime-field
     elements are ints reduced to the range [0, p).
@@ -67,16 +66,6 @@ class Field:
     def __post_init__(self):
         if self.char < 0 or self.char == 1 or (self.char > 1 and not _is_prime(self.char)):
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
-
-    @staticmethod
-    def rationals() -> "Field":
-        return Field(0)
-
-    @staticmethod
-    def prime(p: int) -> "Field":
-        if p < 2:
-            raise ValueError(f"prime field modulus must be >= 2, got {p}")
-        return Field(p)
 
     @property
     def is_rational(self) -> bool:
@@ -128,7 +117,7 @@ class Field:
         return "Q" if self.char == 0 else f"F{self.char}"
 
 
-QQ = Field.rationals()
+QQ = Field(0)
 
 
 class Matrix:
@@ -492,14 +481,3 @@ def solve(A: Matrix, b: Sequence):
         x[pc] = val
     return tuple(x)
 
-
-def inverse(A: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
-    if A.rows != A.cols:
-        raise ValueError("inverse requires a square matrix")
-    n = A.rows
-    aug = Matrix.hstack(A.field, [A, Matrix.identity(A.field, n)], n)
-    rows_, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix.from_rows(A.field, _back_substitute(aug, rows_, pivots, list(range(n, 2 * n))), cols=n)

@@ -2,13 +2,16 @@
 
 A quiver is a finite directed multigraph; loops and parallel arrows are
 accepted structurally and rejected only by classification, where the
-mathematics (the Tits form) does the rejecting.
+mathematics (the Tits form) does the rejecting.  Each quiver computes its
+symmetrized Tits matrix and neighbour lists at most once, on first use, and
+holds them itself; nothing here is memoized at module level, so a quiver
+lives no longer than its callers keep it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InternalInvariantError
@@ -76,11 +79,29 @@ class Quiver:
         )
         return Quiver(self.labels, flipped, self.name)
 
-    def reverse_arrow(self, name: str) -> "Quiver":
-        flipped = tuple(
-            Arrow(a.name, a.target, a.source) if a.name == name else a for a in self.arrows
+    @cached_property
+    def tits_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Symmetric integer matrix B with n^T B n = 2 * tits_form(self, n)."""
+        n = self.vertex_count
+        B = [[0] * n for _ in range(n)]
+        for i in range(n):
+            B[i][i] = 2
+        for a in self.arrows:
+            if a.source == a.target:
+                B[a.source][a.source] -= 2
+            else:
+                B[a.source][a.target] -= 1
+                B[a.target][a.source] -= 1
+        return tuple(tuple(r) for r in B)
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex i, the pairs (j, B[i][j]) over the other vertices j joined
+        to i by an arrow, in increasing j (B the Tits matrix)."""
+        return tuple(
+            tuple((j, b) for j, b in enumerate(row) if b and j != i)
+            for i, row in enumerate(self.tits_matrix)
         )
-        return Quiver(self.labels, flipped, self.name)
 
 
 @dataclass(frozen=True)
@@ -119,60 +140,33 @@ def tits_form(Q: Quiver, n: Sequence[int]) -> int:
     return euler_form(Q, n, n)
 
 
-@lru_cache(maxsize=None)
 def symmetrized_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
     """Symmetric integer matrix B with n^T B n = 2 * tits_form(Q, n)."""
-    n = Q.vertex_count
-    B = [[0] * n for _ in range(n)]
-    for i in range(n):
-        B[i][i] = 2
-    for a in Q.arrows:
-        if a.source == a.target:
-            B[a.source][a.source] -= 2
-        else:
-            B[a.source][a.target] -= 1
-            B[a.target][a.source] -= 1
-    return tuple(tuple(r) for r in B)
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [r[:] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            m[i] = [(m[i][j] * piv - m[i][k] * m[k][j]) // prev for j in range(n)]
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    return Q.tits_matrix
 
 
 def is_positive_definite(Q: Quiver) -> bool:
-    """Sylvester's criterion on the symmetrized Tits matrix, in exact integers."""
-    B = [list(r) for r in symmetrized_matrix(Q)]
+    """Sylvester's criterion on the symmetrized Tits matrix, in exact integers.
+
+    One fraction-free (Bareiss) pass without row swaps: the k-th pivot is the
+    k-th leading principal minor, so the first pivot <= 0 settles the answer.
+    """
+    B = [list(r) for r in Q.tits_matrix]
     n = len(B)
-    for k in range(1, n + 1):
-        if _int_det([row[:k] for row in B[:k]]) <= 0:
+    prev = 1
+    for k in range(n):
+        piv, top = B[k][k], B[k]
+        if piv <= 0:
             return False
+        for row in B[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(x * piv - f * t) // prev for x, t in zip(row[k + 1 :], top[k + 1 :])]
+        prev = piv
     return True
 
 
 def _components(Q: Quiver) -> list[list[int]]:
     n = Q.vertex_count
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a in Q.arrows:
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -184,7 +178,7 @@ def _components(Q: Quiver) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in adj[v]:
+            for w, _ in Q.neighbours[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -246,7 +240,6 @@ def _classify_component(Q: Quiver, comp: list[int]) -> DynkinType | str:
     return f"branch at '{Q.labels[center]}' with legs ({p},{q},{r}) is not of type A/D/E"
 
 
-@lru_cache(maxsize=None)
 def classify(Q: Quiver) -> Classification:
     """Finite/infinite representation type with per-component Dynkin types.
 

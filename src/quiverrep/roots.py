@@ -1,22 +1,24 @@
 """Weyl reflections on dimension vectors and positive-root enumeration.
 
-Positive roots (nonzero n >= 0 with Tits form 1) are produced by closing the
-simple vectors under all simple reflections; the closure is finite exactly
-when the form is positive definite, so the enumeration doubles as a runtime
-witness of finite type.
+Positive roots (nonzero n >= 0 with Tits form 1) are produced from the simple
+roots by the reflections that raise the height: s_i changes only coordinate
+i, by -(d, e_i) in the symmetrized Tits form, so it raises the height of d
+exactly when (d, e_i) < 0.  In finite type every positive root other than a
+simple one is reached from a lower one that way, so the closure under these
+steps, read off the quiver's neighbour lists, is the set of positive roots
+and never leaves the positive cone.  Enumeration is refused unless the
+quiver classifies as finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .dynkin import build_quiver
 from .errors import InfiniteTypeError
-from .quiver import DynkinType, Quiver, classify, symmetrized_matrix, tits_form
+from .quiver import Quiver, classify
 
-__all__ = ["RootSet", "simple_reflection", "positive_roots", "root_count_table"]
+__all__ = ["RootSet", "simple_reflection", "positive_roots"]
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,15 @@ class RootSet:
 
 def simple_reflection(Q: Quiver, i: int, d: Sequence[int]) -> tuple[int, ...]:
     """Reflect an integer vector in the hyperplane of the i-th simple root."""
-    B = symmetrized_matrix(Q)
-    if B[i][i] != 2:
+    if Q.tits_matrix[i][i] != 2:
         raise ValueError(f"vertex {i} carries a loop; reflection undefined")
     if len(d) != Q.vertex_count:
         raise ValueError("vector size mismatch")
-    pairing = sum(B[i][j] * dj for j, dj in enumerate(d))
     out = list(d)
-    out[i] -= pairing
+    out[i] -= 2 * d[i] + sum(b * d[j] for j, b in Q.neighbours[i])
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def positive_roots(Q: Quiver) -> RootSet:
     """All positive roots of a finite-type quiver, sorted lexicographically."""
     verdict = classify(Q)
@@ -57,32 +56,18 @@ def positive_roots(Q: Quiver) -> RootSet:
             "root enumeration would not terminate"
         )
     n = Q.vertex_count
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen: set[tuple[int, ...]] = set(simples)
-    frontier = list(simples)
+    neighbours = Q.neighbours
+    frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(frontier)
     while frontier:
-        nxt = []
+        higher = []
         for d in frontier:
-            for i in range(n):
-                r = simple_reflection(Q, i, d)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    positive = sorted(d for d in seen if all(c >= 0 for c in d) and any(c > 0 for c in d))
-    return RootSet(Q, tuple(positive))
-
-
-def root_count_table(max_rank: int) -> list[tuple[DynkinType, int]]:
-    """Positive-root counts for every A/D/E diagram of rank <= max_rank."""
-    if max_rank > 8:
-        raise ValueError("root counts are tabulated for rank <= 8 only")
-    table = []
-    for rank in range(1, max_rank + 1):
-        table.append((DynkinType("A", rank), len(positive_roots(build_quiver("A", rank)))))
-    for rank in range(4, max_rank + 1):
-        table.append((DynkinType("D", rank), len(positive_roots(build_quiver("D", rank)))))
-    for rank in (6, 7, 8):
-        if rank <= max_rank:
-            table.append((DynkinType("E", rank), len(positive_roots(build_quiver("E", rank)))))
-    return table
+            for i, nbrs in enumerate(neighbours):
+                pairing = 2 * d[i] + sum(b * d[j] for j, b in nbrs)
+                if pairing < 0:
+                    r = d[:i] + (d[i] - pairing,) + d[i + 1 :]
+                    if r not in seen:
+                        seen.add(r)
+                        higher.append(r)
+        frontier = higher
+    return RootSet(Q, tuple(sorted(seen)))

@@ -9,18 +9,40 @@ from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from quiverrep.cli import main
 from quiverrep.dynkin import build_quiver
 from quiverrep.formats import quiver_file_text
+from quiverrep.quiver import Quiver
 
 DIAGRAMS = (
     [("A", r) for r in range(1, 9)]
     + [("D", r) for r in range(4, 9)]
     + [("E", r) for r in (6, 7, 8)]
 )
+
+
+SHIPPED_QUIVERS = sorted((Path(__file__).parent.parent / "quivers").glob("*.quiver"))
+# ranks, up to 40, on which the Sylvester pass and the root closure meet their oracles
+A_AND_D_RANKS = {"A": list(range(1, 13)) + [16, 24, 32, 40], "D": list(range(4, 13)) + [16, 24, 32, 40]}
+
+
+@st.composite
+def quiver_st(draw):
+    """Random quivers on 1 to 5 vertices with up to 6 arrows, loops and
+    parallel arrows included."""
+    n = draw(st.integers(1, 5))
+    labels = tuple(f"v{i}" for i in range(n))
+    n_arrows = draw(st.integers(0, 6))
+    arrows = []
+    for k in range(n_arrows):
+        s = draw(st.integers(0, n - 1))
+        t = draw(st.integers(0, n - 1))
+        arrows.append((f"a{k}", s, t))
+    return Quiver.from_edges(labels, arrows)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -6,8 +6,13 @@ for roots, and a hom/ext constraint system assembled in its own coordinate
 order.  The column-by-column commutation map is the library's earlier
 assembly, kept as the reference for the row-by-row one, and the column-space
 pivot projection is the dual reflection functor's earlier construction, kept
-as the reference for the kernel-of-the-transpose one.  None of it shares
-code with the package under test.
+as the reference for the kernel-of-the-transpose one, and the kernel
+inclusion is the reference for the functor at a sink, now derived by
+duality.  Likewise Sylvester's
+test by one determinant per leading minor is the reference for the single
+Bareiss pass, and the closure of the simple roots under every reflection is
+the reference for the height-raising one.  None of it shares code with the
+package under test.
 """
 
 from __future__ import annotations
@@ -142,6 +147,68 @@ def box_roots(Q: Quiver, bound: int = 6) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def tits_matrix_from_arrows(Q: Quiver) -> list[list[int]]:
+    """B[i][j] = <e_i, e_j> + <e_j, e_i> for the Euler form, arrow by arrow."""
+    n = Q.vertex_count
+    B = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a in Q.arrows:
+        B[a.source][a.target] -= 1
+        B[a.target][a.source] -= 1
+    return B
+
+
+def det_with_row_swaps(rows: list[list[int]]) -> int:
+    """Integer determinant by Bareiss elimination, swapping rows past zero pivots."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [r[:] for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        piv = m[k][k]
+        for i in range(k + 1, n):
+            m[i] = [(m[i][j] * piv - m[i][k] * m[k][j]) // prev for j in range(n)]
+        prev = piv
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_by_minors(Q: Quiver) -> bool:
+    """Positive definiteness of the Tits form: every leading principal minor,
+    each its own determinant, is positive."""
+    B = tits_matrix_from_arrows(Q)
+    return all(det_with_row_swaps([row[:k] for row in B[:k]]) > 0 for k in range(1, len(B) + 1))
+
+
+def roots_by_full_closure(Q: Quiver) -> list[tuple[int, ...]]:
+    """Positive roots of a positive-definite quiver: close the simple roots
+    under every simple reflection, negative vectors included, then keep the
+    positive ones, sorted.  Does not terminate on an indefinite form."""
+    B = tits_matrix_from_arrows(Q)
+    n = len(B)
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for i in range(n):
+                r = list(d)
+                r[i] -= sum(B[i][j] * d[j] for j in range(n))
+                r = tuple(r)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return sorted(d for d in seen if all(c >= 0 for c in d) and any(d))
+
+
 def naive_hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
     """(dim Hom, dim Ext1) from a freshly assembled commutation system.
 
@@ -251,4 +318,40 @@ def reflect_at_source_by_projection(Q: Quiver, i: int, M: Representation) -> Rep
         else:
             maps.append(M.maps[k])
     dims = tuple(len(proj) if j == i else d for j, d in enumerate(M.dims))
+    return Representation(Q.reverse_arrows_at(i), M.field, dims, tuple(maps))
+
+
+def reflect_at_sink_by_kernel_inclusion(Q: Quiver, i: int, M: Representation) -> Representation:
+    """The BGP functor at sink i, built directly from the kernel of the incoming maps.
+
+    The incoming maps are placed side by side, in arrow order, as one matrix
+    A.  Each free column q of rref(A), by `gauss_rref`, gives the kernel
+    vector e_q minus entry (k, q) of rref(A) at each pivot p_k; its row
+    blocks, one per incoming arrow, are the columns of the reversed arrow
+    maps.  This is the functor's construction before it was derived from
+    the one at a source by duality.
+    """
+    p = M.field.char or None
+    blocks = [M.maps[k] for k, a in enumerate(Q.arrows) if a.target == i]
+    side = [[x for b in blocks for x in b.row(t)] for t in range(M.dims[i])]
+    total = sum(b.cols for b in blocks)
+    reduced, pivots = gauss_rref(side, total, p)
+    kernel = []
+    for q in range(total):
+        if q in pivots:
+            continue
+        vec = [0] * total
+        vec[q] = 1
+        for k, pc in enumerate(pivots):
+            vec[pc] = -reduced[k][q]
+        kernel.append(vec)
+    maps, off = [], 0
+    for k, a in enumerate(Q.arrows):
+        if a.target == i:
+            height = M.dims[a.source]
+            maps.append(Matrix.from_rows(M.field, [[v[off + r] for v in kernel] for r in range(height)], cols=len(kernel)))
+            off += height
+        else:
+            maps.append(M.maps[k])
+    dims = tuple(len(kernel) if j == i else d for j, d in enumerate(M.dims))
     return Representation(Q.reverse_arrows_at(i), M.field, dims, tuple(maps))

@@ -38,7 +38,7 @@ from quiverrep.roots import positive_roots
 from conftest import DIAGRAMS, run_cli
 from oracles import box_roots, closed_form_count
 
-F2, F3, F5 = Field.prime(2), Field.prime(3), Field.prime(5)
+F2, F3, F5 = Field(2), Field(3), Field(5)
 
 RANK_LE_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -322,3 +323,24 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "components: A3" in proc.stdout
+
+    def test_roots_on_a80_finishes_within_seconds(self, tmp_path):
+        repo = Path(__file__).parent.parent
+        path = tmp_path / "a80.quiver"
+        path.write_text(quiver_file_text(build_quiver("A", 80)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverrep", "roots", str(path), "--format", "json"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["count"] == 80 * 81 // 2
+        assert elapsed < 5.0, f"roots on A80 took {elapsed:.1f} s"

@@ -1,4 +1,5 @@
-"""Hypothesis fuzz of the command line: mutated quiver and rep files and argv.
+"""Hypothesis fuzz of the command line: mutated quiver and rep files and argv,
+and valid quivers at and just past the vertex bound.
 
 Whatever the input, `main` must end in a documented exit code, 0 to 6.  A
 nonzero exit prints exactly one line to stderr, starting with `error: `, and
@@ -7,13 +8,15 @@ a zero exit prints nothing there.
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
-from quiverrep.formats import quiver_file_text, rep_file_text
+from quiverrep.formats import MAX_VERTICES, quiver_file_text, rep_file_text
 from quiverrep.indec import construct_indecomposable
 from quiverrep.linalg import Field, QQ
 
@@ -24,7 +27,7 @@ D4 = build_quiver("D", 4, "alternating")
 QUIVER_TEXTS = [quiver_file_text(q) for q in (A3, D4, kronecker_quiver(), cycle_quiver(3))]
 REP_TEXTS = [
     rep_file_text(construct_indecomposable(A3, (1, 1, 1), QQ), "P"),
-    rep_file_text(construct_indecomposable(A3, (0, 1, 1), Field.prime(3)), "M"),
+    rep_file_text(construct_indecomposable(A3, (0, 1, 1), Field(3)), "M"),
     "rep F over Q\ndim 1 = 2\ndim 2 = 1\nmap a1 = [[1/2, -3]]\n",
 ]
 
@@ -116,3 +119,26 @@ def test_every_input_ends_in_a_documented_exit_code(argv, quiver, rep1, rep2):
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
     else:
         assert err == ""
+
+
+# the highest root: all ones on A_n; on D_n (path 1..n-1, vertex n on n-2)
+# 1 at both ends of the path and at n, 2 in between
+HIGHEST_ROOT = {"A": lambda n: [1] * n, "D": lambda n: [1] + [2] * (n - 3) + [1, 1]}
+
+
+@pytest.mark.parametrize("letter", ["A", "D"])
+def test_quivers_at_the_vertex_bound_run_and_past_it_are_refused(letter, tmp_path):
+    for rank in (MAX_VERTICES, MAX_VERTICES + 1):
+        path = tmp_path / f"{letter}{rank}.quiver"
+        path.write_text(quiver_file_text(build_quiver(letter, rank, "alternating")))
+        dim = ",".join(map(str, HIGHEST_ROOT[letter](rank)))
+        for argv in (["classify"], ["roots"], ["verify-udr", "--field", "Q", "--dim", dim]):
+            code, out, err = run_cli([argv[0], str(path), *argv[1:], "--format", "json"])
+            if rank == MAX_VERTICES:
+                assert (code, err) == (0, ""), err
+                result = json.loads(out)["result"]
+                if argv[0] == "roots":
+                    assert result["count"] == (rank * (rank + 1) // 2 if letter == "A" else rank * (rank - 1))
+            else:
+                assert (code, out) == (1, "")
+                assert err == f"error: line 2: {rank} vertices exceed the bound {MAX_VERTICES}\n"

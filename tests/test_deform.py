@@ -20,7 +20,7 @@ from quiverrep.indec import all_indecomposables
 from quiverrep.linalg import Field, Matrix, QQ
 from quiverrep.rep import Representation, direct_sum, ext1_space
 
-F3 = Field.prime(3)
+F3 = Field(3)
 
 A2 = build_quiver("A", 2)
 S1 = Representation.simple(A2, QQ, 0)
@@ -68,10 +68,6 @@ class TestMakeLift:
     def test_trivial_lift(self):
         lift = trivial_lift(P1)
         assert all(g.is_zero() for g in lift.perturbation)
-
-    def test_reduction_is_exact(self):
-        lift = make_lift(S12, [Matrix.from_rows(QQ, [[1]])])
-        assert lift.reduction() == S12
 
     def test_shape_mismatch(self):
         with pytest.raises(MismatchError):
@@ -124,7 +120,6 @@ class TestUDRReport:
     def test_projective_over_a2(self):
         r = udr_report(A2, P1)
         assert (r.end_dim, r.ext_dim) == (1, 0)
-        assert r.has_universal_ring
         assert r.verdict is UDRVerdict.ISOMORPHIC_TO_K
         assert "≅ k" in r.describe()
 
@@ -138,7 +133,6 @@ class TestUDRReport:
         m = direct_sum(S1, S1)
         r = udr_report(A2, m)
         assert r.end_dim == 4
-        assert not r.has_universal_ring
         assert r.verdict is UDRVerdict.NO_UNIVERSAL_RING_GUARANTEED
 
     def test_zero_rejected(self):

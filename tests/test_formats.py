@@ -138,7 +138,7 @@ class TestRepFile:
     def test_round_trip_random_reps(self):
         rng = random.Random(3)
         for q in [build_quiver("A", 3), build_quiver("D", 4, "alternating")]:
-            for field in (QQ, Field.prime(5)):
+            for field in (QQ, Field(5)):
                 dims = tuple(rng.randint(0, 2) for _ in q.labels)
                 maps = {}
                 for a in q.arrows:
@@ -192,7 +192,7 @@ class TestReportJSON:
         assert a == b
 
     def test_envelope_fields(self):
-        payload = json.loads(report_json("classify", "X", Field.prime(2), {"finite": True}))
+        payload = json.loads(report_json("classify", "X", Field(2), {"finite": True}))
         assert payload["command"] == "classify"
         assert payload["quiver"] == "X"
         assert payload["field"] == "F2"

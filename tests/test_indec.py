@@ -24,9 +24,9 @@ from quiverrep.rep import Representation, hom_ext_dims, is_isomorphic, is_schur
 from quiverrep.roots import positive_roots, simple_reflection
 
 from conftest import run_cli
-from oracles import reflect_at_source_by_projection
+from oracles import reflect_at_sink_by_kernel_inclusion, reflect_at_source_by_projection
 
-F2 = Field.prime(2)
+F2 = Field(2)
 
 A2 = build_quiver("A", 2)
 P1 = Representation.from_maps(A2, QQ, (1, 1), {"a1": Matrix.from_rows(QQ, [[1]])})
@@ -64,6 +64,19 @@ class TestReflectAtSink:
     def test_requires_sink(self):
         with pytest.raises(ValueError):
             reflect_at_sink(A2, 0, P1)
+
+    @pytest.mark.parametrize("filename", SHIPPED_FINITE)
+    def test_duality_matches_kernel_inclusion(self, filename):
+        """Every module of the Q, F2 and F3 catalogs at every sink, against the
+        kernel inclusion built from rref(A) by plain Gauss-Jordan."""
+        q = shipped_quiver(filename)
+        sinks = [i for i in range(q.vertex_count) if q.is_sink(i)]
+        for field in (QQ, F2, Field(3)):
+            for _, m in all_indecomposables(q, field).entries:
+                for i in sinks:
+                    new_q, got = reflect_at_sink(q, i, m)
+                    want = reflect_at_sink_by_kernel_inclusion(q, i, m)
+                    assert new_q == want.quiver and got == want, (q.name, i, m.dims)
 
 
 class TestReflectAtSource:
@@ -201,7 +214,7 @@ class TestProjectionOracle:
 
         monkeypatch.setattr(indec, "reflect_at_source", recorded)
         q = shipped_quiver(filename)
-        for field in (QQ, F2, Field.prime(3)):
+        for field in (QQ, F2, Field(3)):
             all_indecomposables(q, field)
         assert calls or q.vertex_count == 1
         for Q, i, M, (new_q, got) in calls:
@@ -281,7 +294,7 @@ class TestGenericOracle:
             generic_rep_oracle(A2, (1, 1), F2, seed=0)
 
     def test_large_prime_field_allowed(self):
-        m = generic_rep_oracle(A2, (1, 1), Field.prime(101), seed=0)
+        m = generic_rep_oracle(A2, (1, 1), Field(101), seed=0)
         assert is_schur(m)
 
     def test_agrees_with_functor_construction(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from quiverrep.dynkin import (
     cycle_quiver,
     extended_d4_quiver,
     kronecker_quiver,
+    orientation_schemes,
 )
 from quiverrep.quiver import (
     DynkinType,
@@ -20,6 +24,13 @@ from quiverrep.quiver import (
     symmetrized_matrix,
     tits_form,
 )
+from quiverrep.formats import parse_quiver_file
+from quiverrep.indec import all_indecomposables
+from quiverrep.linalg import QQ
+from quiverrep.roots import positive_roots
+
+from conftest import A_AND_D_RANKS, SHIPPED_QUIVERS, quiver_st
+from oracles import sylvester_by_minors
 
 A2 = build_quiver("A", 2)
 KRON = kronecker_quiver()
@@ -130,24 +141,11 @@ class TestClassify:
         assert not c.finite and "legs (2,2,2)" in c.witness
 
 
-def _random_quiver(draw):
-    n = draw(st.integers(1, 5))
-    labels = tuple(f"v{i}" for i in range(n))
-    n_arrows = draw(st.integers(0, 6))
-    arrows = []
-    for k in range(n_arrows):
-        s = draw(st.integers(0, n - 1))
-        t = draw(st.integers(0, n - 1))
-        arrows.append((f"a{k}", s, t))
-    return Quiver.from_edges(labels, arrows)
-
-
-quiver_st = st.composite(_random_quiver)()
 vec_st = st.lists(st.integers(-4, 4), min_size=5, max_size=5)
 
 
 @settings(max_examples=100, deadline=None)
-@given(q=quiver_st, m=vec_st, n=vec_st)
+@given(q=quiver_st(), m=vec_st, n=vec_st)
 def test_tits_equals_euler_diagonal_and_symmetrization(q, m, n):
     m, n = m[: q.vertex_count], n[: q.vertex_count]
     assert tits_form(q, n) == euler_form(q, n, n)
@@ -160,17 +158,56 @@ def test_tits_equals_euler_diagonal_and_symmetrization(q, m, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(q=quiver_st, n=vec_st, data=st.data())
+@given(q=quiver_st(), n=vec_st, data=st.data())
 def test_tits_form_orientation_invariant(q, n, data):
     n = n[: q.vertex_count]
     if not q.arrows:
         return
-    idx = data.draw(st.integers(0, len(q.arrows) - 1))
-    flipped = q.reverse_arrow(q.arrows[idx].name)
+    v = data.draw(st.integers(0, q.vertex_count - 1))
+    flipped = q.reverse_arrows_at(v)
     assert tits_form(q, n) == tits_form(flipped, n)
 
 
 @settings(max_examples=100, deadline=None)
-@given(q=quiver_st)
+@given(q=quiver_st())
 def test_classify_iff_positive_definite(q):
     assert classify(q).finite == is_positive_definite(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=quiver_st())
+def test_sylvester_pass_matches_per_minor_oracle(q):
+    assert is_positive_definite(q) == sylvester_by_minors(q)
+
+
+@pytest.mark.parametrize("path", SHIPPED_QUIVERS, ids=lambda p: p.name)
+def test_sylvester_pass_matches_per_minor_oracle_on_shipped_quivers(path):
+    q = parse_quiver_file(path.read_text())
+    assert is_positive_definite(q) == sylvester_by_minors(q)
+
+
+def test_sylvester_pass_matches_per_minor_oracle_on_a_and_d():
+    for letter, ranks in A_AND_D_RANKS.items():
+        for rank in ranks:
+            for scheme in orientation_schemes(letter, rank):
+                q = build_quiver(letter, rank, scheme)
+                assert is_positive_definite(q) and sylvester_by_minors(q), (letter, rank, scheme)
+    # a zero or negative pivot deep in the pass: D~ (two branch points) and a long cycle
+    d_tilde = Quiver.from_edges(
+        tuple(str(i) for i in range(40)),
+        [(f"a{i}", i, i + 1) for i in range(37)] + [("b1", 1, 38), ("b2", 36, 39)],
+    )
+    for q in (d_tilde, cycle_quiver(40)):
+        assert not is_positive_definite(q) and not sylvester_by_minors(q)
+
+
+def test_quiver_is_collected_after_use():
+    """The quiver owns its Tits matrix: no module-level cache keeps it alive."""
+    q = build_quiver("D", 5, "alternating")
+    classify(q)
+    positive_roots(q)
+    all_indecomposables(q, QQ)
+    ref = weakref.ref(q)
+    del q
+    gc.collect()
+    assert ref() is None

@@ -31,8 +31,8 @@ from quiverrep.rep import (
 
 from oracles import columnwise_commutation_map, naive_hom_ext
 
-F2 = Field.prime(2)
-F3 = Field.prime(3)
+F2 = Field(2)
+F3 = Field(3)
 
 A2 = build_quiver("A", 2)
 S1 = Representation.simple(A2, QQ, 0)
@@ -287,7 +287,7 @@ def test_commutation_map_matches_columnwise_reference(quiver):
     q = LOOPS_AND_TWO_CYCLE if quiver is None else parse_quiver_file(quiver.read_text())
     rng = random.Random(f"commutation:{q.name}")
     max_dim = 3 if q.vertex_count <= 4 else 2
-    for field in (QQ, F2, F3, Field.prime(101)):
+    for field in (QQ, F2, F3, Field(101)):
         for _ in range(3):
             m, n = fractional_rep(q, field, rng, max_dim), fractional_rep(q, field, rng, max_dim)
             phi = commutation_map(m, n)

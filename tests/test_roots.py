@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from quiverrep.dynkin import build_quiver, kronecker_quiver, orientation_schemes
 from quiverrep.errors import InfiniteTypeError
-from quiverrep.quiver import DynkinType, Quiver, tits_form
-from quiverrep.roots import positive_roots, root_count_table, simple_reflection
+from quiverrep.formats import parse_quiver_file
+from quiverrep.quiver import Quiver, tits_form
+from quiverrep.roots import positive_roots, simple_reflection
 
-from oracles import box_roots, closed_form_count
+from conftest import A_AND_D_RANKS, SHIPPED_QUIVERS, quiver_st
+from oracles import box_roots, closed_form_count, roots_by_full_closure, sylvester_by_minors
 
 A2 = build_quiver("A", 2)
 
@@ -59,21 +61,17 @@ class TestPositiveRoots:
 
 
 class TestRootCountTable:
+    """Root counts against the closed-form table n(n+1)/2, n(n-1), 36/63/120."""
+
     def test_closed_forms_up_to_rank_8(self):
-        table = dict(root_count_table(8))
         for letter, rank in [("A", r) for r in range(1, 9)] + [
             ("D", r) for r in range(4, 9)
         ] + [("E", 6), ("E", 7), ("E", 8)]:
-            assert table[DynkinType(letter, rank)] == closed_form_count(letter, rank)
+            assert len(positive_roots(build_quiver(letter, rank))) == closed_form_count(letter, rank)
 
     def test_small_examples(self):
-        table = dict(root_count_table(4))
-        assert table[DynkinType("A", 3)] == 6
-        assert table[DynkinType("D", 4)] == 12
-
-    def test_rank_cap(self):
-        with pytest.raises(ValueError):
-            root_count_table(9)
+        assert len(positive_roots(build_quiver("A", 3))) == 6
+        assert len(positive_roots(build_quiver("D", 4))) == 12
 
 
 @pytest.mark.parametrize("letter,rank", SMALL_DIAGRAMS)
@@ -99,6 +97,35 @@ def test_root_sets_orientation_independent():
             for s in orientation_schemes(letter, rank)
         }
         assert len(sets) == 1
+
+
+@pytest.mark.parametrize("path", SHIPPED_QUIVERS, ids=lambda p: p.name)
+def test_height_raising_closure_matches_full_closure_on_shipped_quivers(path):
+    q = parse_quiver_file(path.read_text())
+    if sylvester_by_minors(q):
+        assert list(positive_roots(q)) == roots_by_full_closure(q)
+    else:
+        with pytest.raises(InfiniteTypeError):
+            positive_roots(q)
+
+
+def test_height_raising_closure_matches_full_closure_on_a_and_d():
+    # the oracle reads only the underlying graph, so one run serves every orientation
+    for letter, ranks in A_AND_D_RANKS.items():
+        for rank in ranks:
+            expected = roots_by_full_closure(build_quiver(letter, rank))
+            for scheme in orientation_schemes(letter, rank):
+                assert list(positive_roots(build_quiver(letter, rank, scheme))) == expected, (letter, rank, scheme)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=quiver_st())
+def test_height_raising_closure_matches_full_closure_on_random_quivers(q):
+    if sylvester_by_minors(q):
+        assert list(positive_roots(q)) == roots_by_full_closure(q)
+    else:
+        with pytest.raises(InfiniteTypeError):
+            positive_roots(q)
 
 
 dynkin_st = st.sampled_from(SMALL_DIAGRAMS)
