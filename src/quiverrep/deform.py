@@ -11,7 +11,6 @@ ground field itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -19,6 +18,7 @@ from .errors import MismatchError
 from .linalg import Matrix
 from .quiver import Quiver
 from .rep import Representation, hom_ext_dims, is_coboundary
+from .value import Value, setfield
 
 __all__ = [
     "DualNumberLift",
@@ -32,12 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualNumberLift:
+class DualNumberLift(Value):
     """A module over k[eps] x quiver algebra: arrow action f_a + eps*g_a."""
 
-    base: Representation
-    perturbation: tuple[Matrix, ...]
+    _fields = ("base", "perturbation")
+
+    def __init__(self, base: Representation, perturbation: tuple[Matrix, ...]):
+        setfield(self, "base", base)
+        setfield(self, "perturbation", perturbation)
 
 
 class UDRVerdict(Enum):
@@ -46,12 +48,14 @@ class UDRVerdict(Enum):
     NO_UNIVERSAL_RING_GUARANTEED = "no_universal_ring_guaranteed"
 
 
-@dataclass(frozen=True)
-class UDRReport:
+class UDRReport(Value):
     """Endomorphism and self-extension dimensions with the resulting verdict."""
 
-    end_dim: int
-    ext_dim: int
+    _fields = ("end_dim", "ext_dim")
+
+    def __init__(self, end_dim: int, ext_dim: int):
+        setfield(self, "end_dim", end_dim)
+        setfield(self, "ext_dim", ext_dim)
 
     @property
     def verdict(self) -> UDRVerdict:

@@ -18,13 +18,13 @@ each state costs one functor call; a single construction uses a fresh memo.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError
 from .linalg import Field, Matrix, kernel_basis
 from .quiver import Arrow, Quiver, classify, tits_form
 from .rep import Representation, is_schur
 from .roots import RootSet, positive_roots, simple_reflection
+from .value import Value, setfield
 
 __all__ = [
     "IndecCatalog",
@@ -36,13 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndecCatalog:
+class IndecCatalog(Value):
     """One indecomposable per positive root, in lexicographic root order."""
 
-    quiver: Quiver
-    field: Field
-    entries: tuple[tuple[tuple[int, ...], Representation], ...]
+    _fields = ("quiver", "field", "entries")
+
+    def __init__(self, quiver: Quiver, field: Field, entries: tuple[tuple[tuple[int, ...], Representation], ...]):
+        setfield(self, "quiver", quiver)
+        setfield(self, "field", field)
+        setfield(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -19,12 +19,12 @@ mod p directly, Fractions over Q are kept, and any other input goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
+from .value import Value, setfield
 
 __all__ = [
     "Field",
@@ -53,19 +53,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Value):
     """The rationals (`Field(0)`, also `QQ`) or the prime field with `char` elements.
 
     Rational elements are `fractions.Fraction` in lowest terms; prime-field
     elements are ints reduced to the range [0, p).
     """
 
-    char: int
+    _fields = ("char",)
 
-    def __post_init__(self):
-        if self.char < 0 or self.char == 1 or (self.char > 1 and not _is_prime(self.char)):
-            raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
+    def __init__(self, char: int):
+        setfield(self, "char", char)
+        if char < 0 or char == 1 or (char > 1 and not _is_prime(char)):
+            raise ValueError(f"field characteristic must be 0 or prime, got {char}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.char == other.char
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.char,))
 
     @property
     def is_rational(self) -> bool:
@@ -160,11 +168,6 @@ class Matrix:
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, [field.zero()] * (rows * cols))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]

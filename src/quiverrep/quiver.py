@@ -6,15 +6,19 @@ mathematics (the Tits form) does the rejecting.  Each quiver computes its
 symmetrized Tits matrix and neighbour lists at most once, on first use, and
 holds them itself; nothing here is memoized at module level, so a quiver
 lives no longer than its callers keep it.
+
+`Arrow`, `Quiver`, `DynkinType` and `Classification` are plain immutable
+value classes (see `value`), not dataclasses, so loading this module runs no
+generated code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 from .errors import InternalInvariantError
+from .value import Value, setfield
 
 __all__ = [
     "Arrow",
@@ -29,33 +33,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
+class Arrow(Value):
+    _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: int, target: int):
+        setfield(self, "name", name)
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.source, self.target) == (other.name, other.source, other.target)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.target))
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Vertices are dense 0-based indices; labels are user-facing strings."""
+class Quiver(Value):
+    """Vertices are dense 0-based indices; labels are user-facing strings.
 
-    labels: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    name: str = field(default="", compare=False)
+    Equality and hashing ignore `name`."""
 
-    def __post_init__(self):
-        if len(self.labels) < 1:
+    _fields = ("labels", "arrows", "name")
+
+    def __init__(self, labels: tuple[str, ...], arrows: tuple[Arrow, ...], name: str = ""):
+        setfield(self, "labels", labels)
+        setfield(self, "arrows", arrows)
+        setfield(self, "name", name)
+        if len(labels) < 1:
             raise ValueError("a quiver needs at least one vertex")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("vertex labels must be unique")
-        names = [a.name for a in self.arrows]
+        names = [a.name for a in arrows]
         if len(set(names)) != len(names):
             raise ValueError("arrow ids must be unique")
-        n = len(self.labels)
-        for a in self.arrows:
+        n = len(labels)
+        for a in arrows:
             if not (0 <= a.source < n and 0 <= a.target < n):
                 raise ValueError(f"arrow {a.name!r} references an undeclared vertex")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.labels, self.arrows) == (other.labels, other.arrows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.labels, self.arrows))
 
     @staticmethod
     def from_edges(labels: Sequence[str], edges: Sequence[tuple[str, int, int]], name: str = "") -> "Quiver":
@@ -104,20 +128,24 @@ class Quiver:
         )
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    letter: str
-    rank: int
+class DynkinType(Value):
+    _fields = ("letter", "rank")
+
+    def __init__(self, letter: str, rank: int):
+        setfield(self, "letter", letter)
+        setfield(self, "rank", rank)
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Classification:
-    finite: bool
-    components: tuple[DynkinType, ...] = ()
-    witness: str | None = None
+class Classification(Value):
+    _fields = ("finite", "components", "witness")
+
+    def __init__(self, finite: bool, components: tuple[DynkinType, ...] = (), witness: str | None = None):
+        setfield(self, "finite", finite)
+        setfield(self, "components", components)
+        setfield(self, "witness", witness)
 
 
 def _check_sizes(Q: Quiver, *vectors: Sequence[int]):

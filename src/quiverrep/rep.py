@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .errors import MismatchError
 from .linalg import Field, Matrix, kernel_basis, cokernel_basis, rank, solve
 from .quiver import Quiver, euler_form
+from .value import Value, setfield
 
 __all__ = [
     "Representation",
@@ -47,31 +47,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Value):
     """Vector spaces on vertices, one matrix per arrow (target-dim x source-dim)."""
 
-    quiver: Quiver
-    field: Field
-    dims: tuple[int, ...]
-    maps: tuple[Matrix, ...]
+    _fields = ("quiver", "field", "dims", "maps")
 
-    def __post_init__(self):
-        Q = self.quiver
-        if len(self.dims) != Q.vertex_count:
+    def __init__(self, quiver: Quiver, field: Field, dims: tuple[int, ...], maps: tuple[Matrix, ...]):
+        setfield(self, "quiver", quiver)
+        setfield(self, "field", field)
+        setfield(self, "dims", dims)
+        setfield(self, "maps", maps)
+        if len(dims) != quiver.vertex_count:
             raise ValueError("dimension vector does not match vertex count")
-        if any(d < 0 for d in self.dims):
+        if any(d < 0 for d in dims):
             raise ValueError("dimensions must be non-negative")
-        if len(self.maps) != len(Q.arrows):
+        if len(maps) != len(quiver.arrows):
             raise ValueError("need exactly one matrix per arrow")
-        for arrow, m in zip(Q.arrows, self.maps):
-            if m.field != self.field:
+        for arrow, m in zip(quiver.arrows, maps):
+            if m.field != field:
                 raise ValueError(f"matrix for {arrow.name!r} is over the wrong field")
-            if m.rows != self.dims[arrow.target] or m.cols != self.dims[arrow.source]:
+            if m.rows != dims[arrow.target] or m.cols != dims[arrow.source]:
                 raise ValueError(
                     f"matrix for {arrow.name!r} must be "
-                    f"{self.dims[arrow.target]}x{self.dims[arrow.source]}, got {m.rows}x{m.cols}"
+                    f"{dims[arrow.target]}x{dims[arrow.source]}, got {m.rows}x{m.cols}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.quiver, self.field, self.dims, self.maps) == (other.quiver, other.field, other.dims, other.maps)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.quiver, self.field, self.dims, self.maps))
 
     @staticmethod
     def from_maps(quiver: Quiver, field: Field, dims: Sequence[int], maps_by_name: dict[str, Matrix] | None = None) -> "Representation":
@@ -99,26 +106,30 @@ class Representation:
         return all(d == 0 for d in self.dims)
 
 
-@dataclass(frozen=True)
-class MorphismSpace:
+class MorphismSpace(Value):
     """Basis of Hom(source, target); each element is one matrix per vertex."""
 
-    source: Representation
-    target: Representation
-    basis: tuple[tuple[Matrix, ...], ...]
+    _fields = ("source", "target", "basis")
+
+    def __init__(self, source: Representation, target: Representation, basis: tuple[tuple[Matrix, ...], ...]):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "basis", basis)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class ExtSpace:
+class ExtSpace(Value):
     """Cocycle representatives spanning Ext^1(source, target), one matrix per arrow."""
 
-    source: Representation
-    target: Representation
-    cocycles: tuple[tuple[Matrix, ...], ...]
+    _fields = ("source", "target", "cocycles")
+
+    def __init__(self, source: Representation, target: Representation, cocycles: tuple[tuple[Matrix, ...], ...]):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "cocycles", cocycles)
 
     @property
     def dimension(self) -> int:

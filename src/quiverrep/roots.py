@@ -12,19 +12,21 @@ quiver classifies as finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InfiniteTypeError
 from .quiver import Quiver, classify
+from .value import Value, setfield
 
 __all__ = ["RootSet", "simple_reflection", "positive_roots"]
 
 
-@dataclass(frozen=True)
-class RootSet:
-    quiver: Quiver
-    roots: tuple[tuple[int, ...], ...]
+class RootSet(Value):
+    _fields = ("quiver", "roots")
+
+    def __init__(self, quiver: Quiver, roots: tuple[tuple[int, ...], ...]):
+        setfield(self, "quiver", quiver)
+        setfield(self, "roots", roots)
 
     def __len__(self) -> int:
         return len(self.roots)

@@ -1,0 +1,45 @@
+"""Base class of the package's immutable value types.
+
+A value class names its fields in `_fields` and stores them in its own
+`__init__` with `setfield` (`object.__setattr__`), since assigning or deleting
+an attribute afterwards raises `AttributeError`.  Two values are equal when
+they are of the same class and their fields are equal, and they hash and
+print (`Arrow(name='a', source=0, target=1)`) by the same fields.  The few
+classes compared in hot loops write `__eq__` and `__hash__` out by hand, as
+field tuples; the rest use the attrgetter key built here once per class.
+Nothing is generated or executed at import.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+__all__ = ["Value", "setfield"]
+
+setfield = object.__setattr__
+
+
+class Value:
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"

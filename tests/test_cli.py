@@ -324,6 +324,24 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "components: A3" in proc.stdout
 
+    def test_import_loads_no_dataclass_machinery(self):
+        """Start-up guard: `dataclasses` pulls in `inspect`, `ast`, `dis` and
+        `tokenize`, which every CLI process would pay for before reading argv."""
+        repo = Path(__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys; before = set(sys.modules); import quiverrep.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_roots_on_a80_finishes_within_seconds(self, tmp_path):
         repo = Path(__file__).parent.parent
         path = tmp_path / "a80.quiver"

@@ -71,7 +71,7 @@ class TestHomSpace:
         m = direct_sum(P1, S2)
         basis = hom_space(m, m).basis
         assert basis, "End(M) must be nonzero"
-        ident = tuple(Matrix.identity(QQ, d) for d in m.dims)
+        ident = tuple(Matrix.from_rows(QQ, [[int(i == j) for j in range(d)] for i in range(d)], cols=d) for d in m.dims)
         # the identity must be a combination of the returned basis: solve exactly
         cols = [[x for u in b for x in u.entries] for b in basis]
         target = [x for u in ident for x in u.entries]

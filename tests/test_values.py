@@ -1,0 +1,91 @@
+"""Value semantics shared by every public value type: frozen fields, equality
+and hashing by field, keyword construction with defaults, and repr."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import pytest
+
+from quiverrep.deform import DualNumberLift, UDRReport
+from quiverrep.indec import IndecCatalog
+from quiverrep.linalg import Field, Matrix, QQ
+from quiverrep.quiver import Arrow, Classification, DynkinType, Quiver
+from quiverrep.rep import ExtSpace, MorphismSpace, Representation
+from quiverrep.roots import RootSet
+
+F3 = Field(3)
+Q = Quiver.from_edges(("x", "y"), [("a", 0, 1)], "q")
+M = Representation.simple(Q, QQ, 0)
+N = Representation.simple(Q, QQ, 1)
+ONE = Matrix.from_rows(QQ, [[1]])
+
+# (class, fields in declaration order, defaults, uncompared fields, a changed compared field)
+CASES = [
+    (Arrow, {"name": "a", "source": 0, "target": 1}, {}, {}, {"target": 0}),
+    (
+        Quiver,
+        {"labels": ("x", "y"), "arrows": (Arrow("a", 0, 1),), "name": "q"},
+        {"name": ""},
+        {"name": "other"},
+        {"arrows": ()},
+    ),
+    (DynkinType, {"letter": "E", "rank": 8}, {}, {}, {"rank": 7}),
+    (
+        Classification,
+        {"finite": True, "components": (DynkinType("A", 2),), "witness": None},
+        {"components": (), "witness": None},
+        {},
+        {"finite": False},
+    ),
+    (Field, {"char": 3}, {}, {}, {"char": 5}),
+    (
+        Representation,
+        {"quiver": Q, "field": QQ, "dims": (1, 0), "maps": (Matrix.zeros(QQ, 0, 1),)},
+        {},
+        {},
+        {"dims": (1, 1), "maps": (ONE,)},
+    ),
+    (MorphismSpace, {"source": M, "target": M, "basis": ()}, {}, {}, {"target": N}),
+    (ExtSpace, {"source": M, "target": M, "cocycles": ()}, {}, {}, {"target": N}),
+    (RootSet, {"quiver": Q, "roots": ((1, 0),)}, {}, {}, {"roots": ((0, 1),)}),
+    (IndecCatalog, {"quiver": Q, "field": QQ, "entries": (((1, 0), M),)}, {}, {}, {"field": F3}),
+    (DualNumberLift, {"base": M, "perturbation": (Matrix.zeros(QQ, 0, 1),)}, {}, {}, {"base": N}),
+    (UDRReport, {"end_dim": 1, "ext_dim": 0}, {}, {}, {"ext_dim": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults, uncompared, changed", CASES, ids=[c[0].__name__ for c in CASES]
+)
+def test_value_semantics(cls, fields, defaults, uncompared, changed):
+    a = cls(**fields)
+    b = cls(*fields.values())
+    assert a == b and not a != b and hash(a) == hash(b)
+    for name, value in fields.items():
+        assert getattr(a, name) == value
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+    short = cls(**{k: v for k, v in fields.items() if k not in defaults})
+    assert all(getattr(short, k) == v for k, v in defaults.items())
+    same = cls(**{**fields, **uncompared})
+    assert same == a and hash(same) == hash(a)
+    assert cls(**{**fields, **changed}) != a
+
+    assert a != SimpleNamespace(**fields) and a != tuple(fields.values())
+    for other_cls, *_ in CASES:
+        if other_cls is cls:
+            continue
+        try:
+            other = other_cls(*fields.values())
+        except (TypeError, ValueError, AttributeError):
+            continue
+        assert a != other and other != a
+
+    body = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+    assert repr(a) == f"{cls.__name__}({body})"
