@@ -162,6 +162,19 @@ def _cmd_ext(args) -> int:
     return EXIT_OK
 
 
+def _udr_entry(root, report) -> dict:
+    return {
+        "root": list(root),
+        "end_dim": report.end_dim,
+        "ext_dim": report.ext_dim,
+        "verdict": report.verdict.value,
+    }
+
+
+def _udr_line(root, report) -> str:
+    return f"root {_fmt_root(root)}: end={report.end_dim} ext={report.ext_dim} {report.describe()}"
+
+
 def _cmd_verify_udr(args) -> int:
     Q = _load_quiver(args.quiverfile)
     field = parse_field(args.field)
@@ -169,43 +182,22 @@ def _cmd_verify_udr(args) -> int:
         d = _parse_dim(args.dim, Q.vertex_count)
         rep = construct_indecomposable(Q, d, field)
         report = udr_report(Q, rep)
-        result = {
-            "root": list(d),
-            "end_dim": report.end_dim,
-            "ext_dim": report.ext_dim,
-            "verdict": report.verdict.value,
-        }
         if args.format == "json":
-            sys.stdout.write(report_json("verify-udr", Q.name, field, result))
+            sys.stdout.write(report_json("verify-udr", Q.name, field, _udr_entry(d, report)))
         else:
             print(f"quiver: {Q.name} over {field_token(field)}")
-            print(
-                f"root {_fmt_root(d)}: end={report.end_dim} ext={report.ext_dim} {report.describe()}"
-            )
+            print(_udr_line(d, report))
         if report.verdict is UDRVerdict.ISOMORPHIC_TO_K:
             return EXIT_OK
         _error(f"root {_fmt_root(d)} violates the theorem")
         return EXIT_INTERNAL
     catalog = all_indecomposables(Q, field)
-    entries = []
-    verified = 0
-    for root, rep in catalog.entries:
-        report = udr_report(Q, rep)
-        good = report.verdict is UDRVerdict.ISOMORPHIC_TO_K
-        verified += good
-        entries.append((root, report, good))
-    total = len(entries)
+    reports = [(root, udr_report(Q, rep)) for root, rep in catalog.entries]
+    verified = sum(report.verdict is UDRVerdict.ISOMORPHIC_TO_K for _, report in reports)
+    total = len(reports)
     if args.format == "json":
         result = {
-            "entries": [
-                {
-                    "root": list(root),
-                    "end_dim": rep.end_dim,
-                    "ext_dim": rep.ext_dim,
-                    "verdict": rep.verdict.value,
-                }
-                for root, rep, _ in entries
-            ],
+            "entries": [_udr_entry(root, report) for root, report in reports],
             "total": total,
             "verified": verified,
             "theorem_holds": verified == total,
@@ -213,10 +205,8 @@ def _cmd_verify_udr(args) -> int:
         sys.stdout.write(report_json("verify-udr", Q.name, field, result))
     else:
         print(f"quiver: {Q.name} over {field_token(field)}")
-        for root, report, _ in entries:
-            print(
-                f"root {_fmt_root(root)}: end={report.end_dim} ext={report.ext_dim} {report.describe()}"
-            )
+        for root, report in reports:
+            print(_udr_line(root, report))
         print(f"THEOREM VERIFIED: {verified}/{total} indecomposables have R(kQ,M) ≅ k")
     if verified != total:
         _error(f"{total - verified} indecomposable(s) violate the theorem")

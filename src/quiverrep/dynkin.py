@@ -50,39 +50,34 @@ def _center_vertex(letter: str, rank: int) -> int:
     return rank - 4
 
 
+def _distances(edges: list[tuple[int, int]], n: int, start: int) -> list[int]:
+    """Breadth-first distance of every vertex of the tree from start."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * n
+    dist[start] = 0
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def _orient(letter: str, rank: int, scheme: str) -> list[tuple[int, int]]:
     edges = dynkin_edges(letter, rank)
     if scheme == "linear":
         return edges
     if scheme == "reversed":
         return [(v, u) for u, v in edges]
-    n = rank
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    depth = [-1] * n
-    depth[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w in adj[v]:
-            if depth[w] < 0:
-                depth[w] = depth[v] + 1
-                queue.append(w)
     if scheme == "alternating":
+        depth = _distances(edges, rank, 0)
         return [(u, v) if depth[u] % 2 == 0 else (v, u) for u, v in edges]
     if scheme == "sinkheavy":
-        center = _center_vertex(letter, rank)
-        dist = [-1] * n
-        dist[center] = 0
-        queue = [center]
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        dist = _distances(edges, rank, _center_vertex(letter, rank))
         return [(u, v) if dist[u] > dist[v] else (v, u) for u, v in edges]
     raise ValueError(f"unknown orientation scheme {scheme!r}")
 

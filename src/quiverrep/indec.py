@@ -86,29 +86,28 @@ def reflect_at_source(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Rep
     if not Q.is_source(i):
         raise ValueError(f"vertex {i} is not a source")
     field = M.field
-    out_idx = [k for k, a in enumerate(Q.arrows) if a.source == i]
-    blocks = [M.maps[k] for k in out_idx]
-    assembled = Matrix.vstack(field, blocks, M.dims[i])
+    blocks = [f for a, f in zip(Q.arrows, M.maps) if a.source == i]
+    n_i = M.dims[i]
+    # The transpose of the assembled outgoing map: row q holds column q of
+    # each outgoing block in turn.
+    flat = [x for q in range(n_i) for b in blocks for x in b.entries[q::n_i]]
+    assembled_t = Matrix(field, n_i, sum(b.rows for b in blocks), flat)
     # Row q of the projection onto the cokernel is e_q - sum_k R[k, q] e_{p_k},
     # R = rref(assembled^T) with pivots p_k: its kernel vector at free column q.
-    proj_rows = kernel_basis(assembled.transpose())
+    proj_rows = kernel_basis(assembled_t)
     new_dim = len(proj_rows)
-    offsets = {}
-    pos = 0
-    for k in out_idx:
-        offsets[k] = pos
-        pos += M.dims[Q.arrows[k].target]
     new_quiver = Q.reverse_arrows_at(i)
     new_dims = tuple(new_dim if j == i else d for j, d in enumerate(M.dims))
     new_maps = []
-    for k, a in enumerate(Q.arrows):
+    off = 0  # where the current outgoing block's columns start in proj_rows
+    for a, f in zip(Q.arrows, M.maps):
         if a.source == i:
             tgt_dim = M.dims[a.target]
-            off = offsets[k]
             flat = [proj_rows[r][off + c] for r in range(new_dim) for c in range(tgt_dim)]
             new_maps.append(Matrix(field, new_dim, tgt_dim, flat))
+            off += tgt_dim
         else:
-            new_maps.append(M.maps[k])
+            new_maps.append(f)
     return new_quiver, Representation(new_quiver, field, new_dims, tuple(new_maps))
 
 

@@ -12,16 +12,19 @@ step updates the rows below the pivot from the pivot column on.  Pivoting
 is canonical (first nonzero entry in column order, lowest row first), so
 every basis returned is reproducible bit for bit.
 
-A `Matrix` canonicalizes its entries in one pass per field: ints are reduced
-mod p directly, Fractions over Q are kept, and any other input goes through
-`Field.canon`, so each stored entry is exactly `field.canon(x)`.
+The `Matrix` constructor is the one place where entries become canonical, in
+one pass per field: ints are reduced mod p directly, Fractions over Q are
+kept, and any other input goes through `Field.canon`, so each stored entry is
+exactly `field.canon(x)`.  Matrix arithmetic and `solve` hand it raw sums,
+differences and right-hand sides without reducing them first.  Immutability,
+equality, hashing and copying come from `value.Value`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalInvariantError
 from .value import Value, setfield
@@ -98,13 +101,6 @@ class Field(Value):
     def neg(self, x):
         return -x if self.char == 0 else (-x) % self.char
 
-    def inv(self, x):
-        if self.char == 0:
-            if x == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(x)
-        return pow(x, -1, self.char)
-
     def parse(self, token: str):
         """Parse an element written as `n` or `a/b`."""
         token = token.strip()
@@ -128,19 +124,19 @@ class Field(Value):
 QQ = Field(0)
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix over a `Field`, entries stored row-major."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    _fields = __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        setfield(self, "field", field)
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
         # One pass per field: the common input types are canonicalized inline
         # (an exact type test, no ABC isinstance), everything else by canon.
         p = field.char
@@ -148,10 +144,7 @@ class Matrix:
             ents = [x % p if type(x) is int else field.canon(x) for x in entries]
         else:
             ents = [x if type(x) is Fraction else field.canon(x) for x in entries]
-        object.__setattr__(self, "entries", tuple(ents))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        setfield(self, "entries", tuple(ents))
 
     @classmethod
     def from_rows(cls, field: Field, data: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -193,85 +186,25 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        p = self.field.char
         n, m, k = self.rows, other.cols, self.cols
         out = []
         for i in range(n):
             ri = self.row(i)
             for j in range(m):
-                acc = sum(ri[t] * other.entries[t * m + j] for t in range(k) if ri[t])
-                out.append(acc % p if p else Fraction(acc))
+                out.append(sum(ri[t] * other.entries[t * m + j] for t in range(k) if ri[t]))
         return Matrix(self.field, n, m, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        p = self.field.char
-        ents = [a + b for a, b in zip(self.entries, other.entries)]
-        if p:
-            ents = [x % p for x in ents]
-        return Matrix(self.field, self.rows, self.cols, ents)
+        return Matrix(self.field, self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        p = self.field.char
-        ents = [a - b for a, b in zip(self.entries, other.entries)]
-        if p:
-            ents = [x % p for x in ents]
-        return Matrix(self.field, self.rows, self.cols, ents)
-
-    def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.neg(x) for x in self.entries])
-
-    def scale(self, c) -> "Matrix":
-        c = self.field.canon(c)
-        p = self.field.char
-        ents = [c * x for x in self.entries]
-        if p:
-            ents = [x % p for x in ents]
-        return Matrix(self.field, self.rows, self.cols, ents)
+        return Matrix(self.field, self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
     def _check_same_shape(self, other: "Matrix"):
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shape or field mismatch")
-
-    @staticmethod
-    def hstack(field: Field, mats: Iterable["Matrix"], rows: int) -> "Matrix":
-        mats = list(mats)
-        for m in mats:
-            if m.rows != rows or m.field != field:
-                raise ValueError("hstack row count or field mismatch")
-        cols = sum(m.cols for m in mats)
-        flat = []
-        for i in range(rows):
-            for m in mats:
-                flat.extend(m.row(i))
-        return Matrix(field, rows, cols, flat)
-
-    @staticmethod
-    def vstack(field: Field, mats: Iterable["Matrix"], cols: int) -> "Matrix":
-        mats = list(mats)
-        flat = []
-        rows = 0
-        for m in mats:
-            if m.cols != cols or m.field != field:
-                raise ValueError("vstack column count or field mismatch")
-            flat.extend(m.entries)
-            rows += m.rows
-        return Matrix(field, rows, cols, flat)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(self.field.format(x) for x in self.row(i)) for i in range(self.rows))
@@ -472,10 +405,13 @@ def cokernel_basis(A: Matrix) -> list[tuple]:
 
 def solve(A: Matrix, b: Sequence):
     """Some exact solution of Ax = b with free variables zero, or None."""
-    b = [A.field.canon(x) for x in b]
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != row count {A.rows}")
-    aug = Matrix.hstack(A.field, [A, Matrix(A.field, A.rows, 1, b)], A.rows)
+    flat = []
+    for i, bi in enumerate(b):
+        flat.extend(A.row(i))
+        flat.append(bi)
+    aug = Matrix(A.field, A.rows, A.cols + 1, flat)
     rows_, pivots = _echelon(aug)
     if A.cols in pivots:
         return None

@@ -27,7 +27,6 @@ __all__ = [
     "Classification",
     "euler_form",
     "tits_form",
-    "symmetrized_matrix",
     "is_positive_definite",
     "classify",
 ]
@@ -166,11 +165,6 @@ def euler_form(Q: Quiver, m: Sequence[int], n: Sequence[int]) -> int:
 def tits_form(Q: Quiver, n: Sequence[int]) -> int:
     """Quadratic form of the Euler form; depends only on the underlying graph."""
     return euler_form(Q, n, n)
-
-
-def symmetrized_matrix(Q: Quiver) -> tuple[tuple[int, ...], ...]:
-    """Symmetric integer matrix B with n^T B n = 2 * tits_form(Q, n)."""
-    return Q.tits_matrix
 
 
 def is_positive_definite(Q: Quiver) -> bool:

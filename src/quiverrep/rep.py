@@ -298,13 +298,12 @@ def _is_invertible_tuple(mats: Sequence[Matrix]) -> bool:
 
 
 def _combination(basis, coeffs) -> tuple[Matrix, ...]:
+    """sum_j coeffs[j] * basis[j], one matrix per vertex; Matrix reduces the sums."""
     out = []
-    for idx in range(len(basis[0])):
-        acc = basis[0][idx].scale(coeffs[0])
-        for b, c in zip(basis[1:], coeffs[1:]):
-            if c:
-                acc = acc + b[idx].scale(c)
-        out.append(acc)
+    for mats in zip(*basis):
+        m = mats[0]
+        ents = [sum(c * x for c, x in zip(coeffs, xs) if c) for xs in zip(*(b.entries for b in mats))]
+        out.append(Matrix(m.field, m.rows, m.cols, ents))
     return tuple(out)
 
 

@@ -8,6 +8,12 @@ print (`Arrow(name='a', source=0, target=1)`) by the same fields.  The few
 classes compared in hot loops write `__eq__` and `__hash__` out by hand, as
 field tuples; the rest use the attrgetter key built here once per class.
 Nothing is generated or executed at import.
+
+`Value` declares empty `__slots__`, so a subclass that declares its fields as
+slots has no `__dict__`; a subclass without slots keeps one.  `__reduce__`
+rebuilds a value by calling its class with its fields in `_fields` order, so
+`copy.copy`, `copy.deepcopy` and `pickle` work for every value type and each
+rebuild runs the constructor's checks again.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ setfield = object.__setattr__
 
 
 class Value:
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -39,6 +46,9 @@ class Value:
 
     def __hash__(self):
         return hash(self._key(self))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

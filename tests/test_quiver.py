@@ -21,7 +21,6 @@ from quiverrep.quiver import (
     classify,
     euler_form,
     is_positive_definite,
-    symmetrized_matrix,
     tits_form,
 )
 from quiverrep.formats import parse_quiver_file
@@ -64,18 +63,18 @@ class TestTitsForm:
 
 class TestSymmetrizedMatrix:
     def test_a2(self):
-        assert symmetrized_matrix(A2) == ((2, -1), (-1, 2))
+        assert A2.tits_matrix == ((2, -1), (-1, 2))
 
     def test_single_vertex(self):
         q = Quiver.from_edges(("v",), ())
-        assert symmetrized_matrix(q) == ((2,),)
+        assert q.tits_matrix == ((2,),)
 
     def test_kronecker(self):
-        assert symmetrized_matrix(KRON) == ((2, -2), (-2, 2))
+        assert KRON.tits_matrix == ((2, -2), (-2, 2))
 
     def test_loop_kills_diagonal(self):
         q = Quiver.from_edges(("v",), (("a", 0, 0),))
-        assert symmetrized_matrix(q) == ((0,),)
+        assert q.tits_matrix == ((0,),)
 
 
 class TestPositiveDefinite:
@@ -149,7 +148,7 @@ vec_st = st.lists(st.integers(-4, 4), min_size=5, max_size=5)
 def test_tits_equals_euler_diagonal_and_symmetrization(q, m, n):
     m, n = m[: q.vertex_count], n[: q.vertex_count]
     assert tits_form(q, n) == euler_form(q, n, n)
-    B = symmetrized_matrix(q)
+    B = q.tits_matrix
     quad = sum(B[i][j] * n[i] * n[j] for i in range(len(n)) for j in range(len(n)))
     assert 2 * tits_form(q, n) == quad
     # bilinearity in the first argument

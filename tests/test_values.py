@@ -1,14 +1,18 @@
 """Value semantics shared by every public value type: frozen fields, equality
-and hashing by field, keyword construction with defaults, and repr."""
+and hashing by field, keyword construction with defaults, repr, and copies
+and pickles that compare equal."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 from types import SimpleNamespace
 
 import pytest
 
 from quiverrep.deform import DualNumberLift, UDRReport
-from quiverrep.indec import IndecCatalog
+from quiverrep.dynkin import build_quiver
+from quiverrep.indec import IndecCatalog, all_indecomposables
 from quiverrep.linalg import Field, Matrix, QQ
 from quiverrep.quiver import Arrow, Classification, DynkinType, Quiver
 from quiverrep.rep import ExtSpace, MorphismSpace, Representation
@@ -52,7 +56,15 @@ CASES = [
     (IndecCatalog, {"quiver": Q, "field": QQ, "entries": (((1, 0), M),)}, {}, {}, {"field": F3}),
     (DualNumberLift, {"base": M, "perturbation": (Matrix.zeros(QQ, 0, 1),)}, {}, {}, {"base": N}),
     (UDRReport, {"end_dim": 1, "ext_dim": 0}, {}, {}, {"ext_dim": 1}),
+    (Matrix, {"field": QQ, "rows": 1, "cols": 2, "entries": (1, 2)}, {}, {}, {"entries": (1, 3)}),
 ]
+# classes whose repr is not the field-by-field default
+REPRS = {Matrix: "Matrix(Q, 1x2: 1 2)"}
+
+
+def assert_copies_equal(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
 
 
 @pytest.mark.parametrize(
@@ -88,4 +100,10 @@ def test_value_semantics(cls, fields, defaults, uncompared, changed):
         assert a != other and other != a
 
     body = ", ".join(f"{k}={v!r}" for k, v in fields.items())
-    assert repr(a) == f"{cls.__name__}({body})"
+    assert repr(a) == REPRS.get(cls, f"{cls.__name__}({body})")
+
+    assert_copies_equal(a)
+
+
+def test_catalog_copies_equal():
+    assert_copies_equal(all_indecomposables(build_quiver("E", 8), F3))

@@ -1,7 +1,8 @@
 """Regenerate the quivers/ directory shipped with the package.
 
 Writes every A/D/E diagram of rank <= 8 in each distinct orientation scheme,
-plus the infinite-type counterexamples.  Run from the repository root:
+plus the infinite-type counterexamples.  `quiver_files` returns the texts
+without writing them.  Run from the repository root:
 
     python tools/generate_quivers.py
 """
@@ -26,19 +27,24 @@ DIAGRAMS = (
 )
 
 
+def quiver_files() -> dict[str, str]:
+    """The text of every shipped quiver file, keyed by file name."""
+    quivers = [
+        build_quiver(letter, rank, scheme)
+        for letter, rank in DIAGRAMS
+        for scheme in orientation_schemes(letter, rank)
+    ]
+    quivers += [kronecker_quiver(), cycle_quiver(3, "a2_tilde_cycle"), extended_d4_quiver()]
+    return {f"{q.name.lower()}.quiver": quiver_file_text(q) for q in quivers}
+
+
 def main() -> None:
     out = Path(__file__).resolve().parent.parent / "quivers"
     out.mkdir(exist_ok=True)
-    count = 0
-    for letter, rank in DIAGRAMS:
-        for scheme in orientation_schemes(letter, rank):
-            q = build_quiver(letter, rank, scheme)
-            (out / f"{q.name.lower()}.quiver").write_text(quiver_file_text(q))
-            count += 1
-    for q in [kronecker_quiver(), cycle_quiver(3, "a2_tilde_cycle"), extended_d4_quiver()]:
-        (out / f"{q.name.lower()}.quiver").write_text(quiver_file_text(q))
-        count += 1
-    print(f"wrote {count} files to {out}")
+    files = quiver_files()
+    for name, text in files.items():
+        (out / name).write_text(text)
+    print(f"wrote {len(files)} files to {out}")
 
 
 if __name__ == "__main__":
