@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
 )
 from .formats import (
+    check_pair_size,
     field_token,
     parse_field,
     parse_quiver_file,
@@ -144,6 +145,7 @@ def _cmd_ext(args) -> int:
     _, dst = parse_rep_file(_read(args.dst), Q)
     if src.field != dst.field:
         raise MismatchError(f"field mismatch: {field_token(src.field)} vs {field_token(dst.field)}")
+    check_pair_size(src, dst)
     hom, ext = hom_ext_dims(src, dst)
     euler = euler_form(Q, src.dims, dst.dims)
     if hom - ext != euler:

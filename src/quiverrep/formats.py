@@ -14,19 +14,34 @@ Representation files (parsed against a quiver)::
     map <arrow-id> = [[..],[..]] row-major, entries like 7 or -3/2
 
 Missing dim lines default to 0; missing map lines default to the zero matrix,
-which is also how zero-sized matrices are written out.  A dim above MAX_DIM is
-a parse error, raised before any matrix is built: Hom/Ext between two files
-works on a matrix of at most #arrows x #vertices x MAX_DIM**4 entries, so an
-unbounded dim would be an unbounded allocation.  The bound is well above 6,
-the largest coordinate of any root of a Dynkin quiver.  A field token F<p>
+which is also how zero-sized matrices are written out.  A repeated dim or map
+line is a parse error.  A dim above MAX_DIM is a parse error, raised before
+any matrix is built, so a file's maps have at most MAX_DIM**2 entries each.
+The bound is well above 6, the largest coordinate of any root of a Dynkin
+quiver.  It does not bound Hom/Ext between two files M and N: their
+commutation map has sum_v m_v n_v columns and sum_a m_source(a) n_target(a)
+rows, so its entry count grows as the square of the quiver's size (20224 x
+20480, about 9 GB, for two A80 files of dim 16 everywhere).  `ext`
+therefore calls check_pair_size, which refuses a pair whose map would have
+more than MAX_MAP_ENTRIES = 2**22 entries, on the two dimension vectors
+before anything is assembled.  The map is a dense list of entries, and on a
+2-core VM under Python 3.11 `ext` peaked at about 23 bytes per entry plus a
+15 MB base (102 MB for the 1900 x 2000 map of two A20 files of dim 10), so
+the bound keeps its memory near the 113 MB of the largest catalog that
+MAX_VERTICES admits.  It bounds memory, not time: over Q with random
+entries the 1216 x 1280 map of two A20 files of dim 8 took 38 s.  Every pair
+of indecomposables on an accepted quiver passes with room to spare: every
+positive root lies below the highest root, so the largest such map is that
+of the D80 highest root with itself, 310 x 311.  A field token F<p>
 needs p < MAX_CHAR = 2**31, checked on the digit string before `int()`:
 primality is settled by trial division, about 23k steps at that bound, and
 a longer token would otherwise run unbounded or overflow `int()`'s digit
 limit.  A quiver may have at most MAX_VERTICES = 80 vertices, checked on
 the vertices line before the quiver is built.  D_n is the worst case, with
 n(n-1) positive roots and a catalog of that many modules: on a 2-core VM
-under Python 3.11, `verify-udr --field Q` of a linear D80 took 142 s with a
-peak RSS of 1.8 GB, while `roots` took 0.85 s on D80 and 0.46 s on A80.
+under Python 3.11, `verify-udr --field Q` of a linear D80 took 45 s with a
+peak RSS of 113 MB (62-64 s and 1.8 GB when the catalog kept a memo of every
+walk state), while `roots` took 0.85 s on D80 and 0.46 s on A80.
 Reports are rendered with sorted keys and a fixed layout so equal inputs
 give equal bytes.
 """
@@ -52,11 +67,14 @@ __all__ = [
     "rep_file_text",
     "report_json",
     "MAX_DIM",
+    "MAX_MAP_ENTRIES",
+    "check_pair_size",
     "MAX_CHAR",
     "MAX_VERTICES",
 ]
 
 MAX_DIM = 16
+MAX_MAP_ENTRIES = 2**22
 MAX_CHAR = 2**31
 MAX_VERTICES = 80
 
@@ -171,11 +189,21 @@ def _parse_matrix_literal(s: str, field: Field, rows: int, cols: int, lineno: in
     return Matrix.from_rows(field, data, cols=cols)
 
 
+def check_pair_size(M: Representation, N: Representation) -> None:
+    """Refuse a pair whose Hom/Ext commutation map would exceed MAX_MAP_ENTRIES."""
+    arrows = M.quiver.arrows
+    rows = sum(M.dims[a.source] * N.dims[a.target] for a in arrows)
+    cols = sum(m * n for m, n in zip(M.dims, N.dims))
+    if rows * cols > MAX_MAP_ENTRIES:
+        raise ParseError(f"Hom/Ext of this pair needs a {rows}x{cols} map, over the bound of {MAX_MAP_ENTRIES} entries")
+
+
 def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
     """Parse a representation file against its quiver; returns (name, representation)."""
     name = None
     field: Field | None = None
     dims = [0] * quiver.vertex_count
+    dim_lines: set[str] = set()
     vindex = {lbl: i for i, lbl in enumerate(quiver.labels)}
     arrow_by_name = {a.name: a for a in quiver.arrows}
     raw_maps: dict[str, tuple[int, str]] = {}
@@ -195,6 +223,9 @@ def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
             v = m.group(1)
             if v not in vindex:
                 raise ParseError(f"unknown vertex {v!r}", lineno)
+            if v in dim_lines:
+                raise ParseError(f"duplicate dim line for vertex {v!r}", lineno)
+            dim_lines.add(v)
             # compare lengths first: int() refuses strings of over 4300 digits
             digits = m.group(2).lstrip("0") or "0"
             if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
@@ -207,6 +238,8 @@ def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
             aid = m.group(1)
             if aid not in arrow_by_name:
                 raise ParseError(f"unknown arrow {aid!r}", lineno)
+            if aid in raw_maps:
+                raise ParseError(f"duplicate map line for arrow {aid!r}", lineno)
             raw_maps[aid] = (lineno, m.group(2))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)

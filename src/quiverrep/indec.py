@@ -7,23 +7,24 @@ until it returns to the input orientation.  Dimension bookkeeping is asserted
 after every functor application, so the classical theorems this relies on are
 enforced at runtime, and a failure names the quiver, root, vertex and step.
 
-The walk state after t reflections is (dimension vector, t mod n).  The phase
-t mod n fixes the next vertex in the ordering and the current orientation, so
-the module rebuilt at a state depends on that state alone.  Each module is
-stored in a memo under its state, and a walk stops descending at the first
-state already in the memo.  A catalog shares one memo across all its roots, so
-each state costs one functor call; a single construction uses a fresh memo.
+The walk state after t reflections is (dimension vector, t mod n).  Walks are
+deterministic and functors are injective on indecomposables, so the walks that
+end at one simple root and phase all lie on one thread: the walk up from it.
+A catalog walks each of the n threads up by integer reflections, rebuilds it
+once, up to its last non-simple root at phase 0, and keeps the modules at
+phase 0: one functor call per walk state, and no other module outlives it.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import cycle
 
 from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError
 from .linalg import Field, Matrix, kernel_basis
 from .quiver import Arrow, Quiver, classify, tits_form
 from .rep import Representation, is_schur
-from .roots import RootSet, positive_roots, simple_reflection
+from .roots import positive_roots, simple_reflection
 from .value import Value, setfield
 
 __all__ = [
@@ -48,10 +49,6 @@ class IndecCatalog(Value):
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def roots(self) -> RootSet:
-        return RootSet(self.quiver, tuple(r for r, _ in self.entries))
 
 
 def _dual(M: Representation) -> Representation:
@@ -135,10 +132,6 @@ def _reflection_pass(Q: Quiver) -> tuple[list[int], list[Quiver]]:
     return order, orientations
 
 
-def _unit_vector(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if t == j else 0 for t in range(n))
-
-
 def _require_positive_root(Q: Quiver, d) -> tuple[int, ...]:
     verdict = classify(Q)
     if not verdict.finite:
@@ -155,71 +148,78 @@ def _require_positive_root(Q: Quiver, d) -> tuple[int, ...]:
     return d
 
 
-def _build(
-    Q: Quiver,
-    root: tuple[int, ...],
-    field: Field,
-    walk: tuple[list[int], list[Quiver]],
-    memo: dict[tuple[tuple[int, ...], int], Representation],
-) -> Representation:
-    """Indecomposable with dimension vector root: walk down until a state in
-    memo or a simple root, then rebuild upwards, storing each module in memo
-    under its (dimension vector, phase) state."""
-    n = Q.vertex_count
-    for j in range(n):
-        if root == _unit_vector(n, j):
-            return Representation.simple(Q, field, j)
-    order, orientations = walk
+def _fail(Q: Quiver, root: tuple[int, ...], step: int, v: int, what: str) -> InternalInvariantError:
+    coords = ",".join(str(c) for c in root)
+    return InternalInvariantError(f"quiver {Q.name}, root ({coords}), walk step {step}, vertex {Q.labels[v]}: {what}")
 
-    def fail(step: int, v: int, what: str) -> InternalInvariantError:
-        coords = ",".join(str(c) for c in root)
-        return InternalInvariantError(
-            f"quiver {Q.name}, root ({coords}), walk step {step}, "
-            f"vertex {Q.labels[v]}: {what}"
-        )
 
-    cap = 60 * n + 10
-    dim_walk = [root]
-    d = root
-    t = 0
-    while (d, t % n) not in memo:
-        v = order[t % n]
-        if d == _unit_vector(n, v):
-            memo[d, t % n] = Representation.simple(orientations[t % n], field, v)
-            break
-        if t >= cap:
-            raise fail(t, v, "reflection walk did not reach a simple root")
+def _walk(Q: Quiver, d: tuple[int, ...], vertices: cycle) -> list[tuple[int, ...]]:
+    """States met reflecting d at each of vertices in turn, up to the simple
+    root of the next vertex, the one positive root its reflection takes out of
+    the positive cone.  On a component of rank m and Coxeter number h, any mh/2
+    consecutive letters of the cyclic order spell a reduced word of the longest
+    Weyl group element, so a walk reflects there fewer than mh/2 times, within
+    ceil(h/2) <= max(m, 15) passes (E8: h = 30); n max(n, 15) steps bound it."""
+    cap = Q.vertex_count * max(Q.vertex_count, 15)
+    dims = [d]
+    for step, v in enumerate(vertices):
+        if d[v] == 1 and sum(d) == 1:
+            return dims
+        if step == cap:
+            raise _fail(Q, dims[0], step, v, "reflection walk did not reach a simple root")
         d = simple_reflection(Q, v, d)
         if any(c < 0 for c in d):
-            raise fail(t, v, "reflection walk left the positive cone")
-        t += 1
-        dim_walk.append(d)
-    M = memo[d, t % n]
+            raise _fail(Q, dims[0], step, v, "reflection walk left the positive cone")
+        dims.append(d)
+
+
+def _rebuild(Q: Quiver, field: Field, walk: tuple[list[int], list[Quiver]], dims) -> list[Representation]:
+    """Rebuild upwards along dims, the states at times 0..t of a walk down to a
+    simple root; returns the modules at times s < t with s = 0 mod n, time 0 last."""
+    (order, orientations), n, t = walk, Q.vertex_count, len(dims) - 1
+    M = Representation.simple(orientations[t % n], field, order[t % n])
+    kept = []
     for s in reversed(range(t)):
         v = order[s % n]
         new_q, M = reflect_at_source(orientations[s % n + 1], v, M)
         if new_q != orientations[s % n]:
-            raise fail(s, v, "reflection functor reoriented the quiver incorrectly")
-        if M.dims != dim_walk[s]:
-            raise fail(s, v, f"dimension bookkeeping failed: {M.dims} != {dim_walk[s]}")
-        memo[dim_walk[s], s % n] = M
-    return M
+            raise _fail(Q, dims[0], s, v, "reflection functor reoriented the quiver incorrectly")
+        if M.dims != dims[s]:
+            raise _fail(Q, dims[0], s, v, f"dimension bookkeeping failed: {M.dims} != {dims[s]}")
+        if s % n == 0:
+            kept.append(M)
+    return kept
 
 
 def construct_indecomposable(Q: Quiver, d, field: Field) -> Representation:
     """The unique indecomposable with dimension vector d, built by reflection functors."""
     d = _require_positive_root(Q, d)
-    return _build(Q, d, field, _reflection_pass(Q), {})
+    if sum(d) == 1:
+        return Representation.simple(Q, field, d.index(1))
+    walk = _reflection_pass(Q)
+    return _rebuild(Q, field, walk, _walk(Q, d, cycle(walk[0])))[-1]
 
 
 def all_indecomposables(Q: Quiver, field: Field) -> IndecCatalog:
     """Catalog of every indecomposable of a finite-type quiver, one per positive
-    root; all roots share one walk memo."""
+    root: the simple modules, and the other modules at phase 0 on the threads.
+    Thread j walks up from the simple root of order[j] at phase j, reflecting at
+    order[j-1], order[j-2], ... cyclically, and is rebuilt from the last
+    non-simple root it meets at phase 0."""
     roots = positive_roots(Q)
     walk = _reflection_pass(Q)
-    memo: dict[tuple[tuple[int, ...], int], Representation] = {}
-    entries = tuple((r, _build(Q, r, field, walk, memo)) for r in roots)
-    return IndecCatalog(Q, field, entries)
+    order, n = walk[0], Q.vertex_count
+    simples = [Representation.simple(Q, field, v) for v in range(n)]
+    entries = [(S.dims, S) for S in simples]
+    for j, v in enumerate(order):
+        up = _walk(Q, simples[v].dims, cycle(reversed(order[j:] + order[:j])))
+        top = max((k for k in range(j, len(up), n) if sum(up[k]) > 1), default=None)
+        if top is not None:
+            entries += ((M.dims, M) for M in _rebuild(Q, field, walk, up[top::-1]) if sum(M.dims) > 1)
+    entries.sort(key=lambda e: e[0])
+    if [r for r, _ in entries] != list(roots):
+        raise InternalInvariantError(f"quiver {Q.name}: the threads do not give one module per positive root")
+    return IndecCatalog(Q, field, tuple(entries))
 
 
 def generic_rep_oracle(Q: Quiver, d, field: Field, seed: int = 0) -> Representation:

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
-from quiverrep.formats import MAX_DIM, parse_rep_file, quiver_file_text
+from quiverrep.formats import MAX_DIM, MAX_MAP_ENTRIES, parse_rep_file, quiver_file_text
 from quiverrep.linalg import Matrix
 from quiverrep.rep import hom_ext_dims, is_schur
+from quiverrep.roots import positive_roots
 
 from conftest import run_cli
 
@@ -181,6 +182,44 @@ class TestExt:
         assert code == 1
         assert out == ""
         assert err == "error: prime field modulus must be below 2**31 = 2147483648\n"
+
+    def test_oversized_pair_exit_1_before_assembly(self, tmp_path):
+        """Every dim of two A80 files at MAX_DIM would make a 20224x20480 map."""
+        q = tmp_path / "a80.quiver"
+        q.write_text(quiver_file_text(build_quiver("A", 80)))
+        big = self._write_rep(tmp_path, "big.rep", "rep B over Q\n" + "".join(f"dim {v} = {MAX_DIM}\n" for v in range(1, 81)))
+        start = time.perf_counter()
+        code, out, err = run_cli(["ext", str(q), "--from", big, "--to", big])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: Hom/Ext of this pair needs a 20224x20480 map, over the bound of {MAX_MAP_ENTRIES} entries\n"
+        )
+
+    @pytest.mark.parametrize("kind, rank", [("E", 8), ("D", 33), ("D", 80)])
+    def test_highest_root_pair_accepted(self, kind, rank, tmp_path):
+        """Every positive root lies below the highest root, so the D80 highest root
+        with itself (a 310x311 map) is the largest pair of indecomposables that
+        an accepted quiver has."""
+        Q = build_quiver(kind, rank)
+        q = tmp_path / "q.quiver"
+        q.write_text(quiver_file_text(Q))
+        top = max(positive_roots(Q), key=sum)
+        code, rep_text, _ = run_cli(["indec", str(q), "--dim", ",".join(map(str, top)), "--field", "Q"])
+        assert code == 0
+        m = self._write_rep(tmp_path, "top.rep", rep_text)
+        code, out, err = run_cli(["ext", str(q), "--from", m, "--to", m, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == {"hom_dim": 1, "ext_dim": 0, "euler_form": 1}
+
+    def test_decomposable_pair_below_the_bound_accepted(self, tmp_path):
+        """Two A20 files of dim 3 everywhere and zero maps: a 171x180 map."""
+        q = tmp_path / "a20.quiver"
+        q.write_text(quiver_file_text(build_quiver("A", 20)))
+        m = self._write_rep(tmp_path, "m.rep", "rep M over F2\n" + "".join(f"dim {v} = 3\n" for v in range(1, 21)))
+        code, out, err = run_cli(["ext", str(q), "--from", m, "--to", m, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == {"hom_dim": 180, "ext_dim": 171, "euler_form": 9}
 
     def test_field_mismatch_exit_4(self, files, tmp_path):
         a = self._write_rep(tmp_path, "a.rep", "rep A over Q\ndim 1 = 1\ndim 2 = 0\n")

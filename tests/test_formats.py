@@ -179,6 +179,18 @@ class TestRepFile:
             with pytest.raises(ParseError, match=f"line 2: dim of vertex '1' exceeds the bound {MAX_DIM}"):
                 parse_rep_file(f"rep M over Q\ndim 1 = {value}\ndim 2 = 1\n", q)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("dim 1 = 0\ndim 1 = 1\n", "line 3: duplicate dim line for vertex '1'"),
+            ("dim 1 = 1\ndim 2 = 1\nmap a1 = [[1]]\nmap a1 = [[0]]\n", "line 5: duplicate map line for arrow 'a1'"),
+        ],
+    )
+    def test_repeated_line_rejected(self, body, message):
+        with pytest.raises(ParseError) as exc:
+            parse_rep_file("rep M over Q\n" + body, build_quiver("A", 2))
+        assert str(exc.value) == message
+
     def test_dim_at_the_bound_accepted(self):
         q = build_quiver("A", 2)
         _, rep = parse_rep_file(f"rep M over F2\ndim 1 = 00{MAX_DIM}\n", q)

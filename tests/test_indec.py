@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -168,13 +169,21 @@ class TestCatalog:
 
 
 class TestSharedWalks:
-    """The catalog shares one walk memo across roots; each root alone must
+    """The catalog rebuilds each of its n threads, the walks up from a simple
+    root, once and keeps the modules at phase 0; each root built alone must
     give the same bytes, and each walk state costs one functor call."""
 
-    @pytest.mark.parametrize("token", ["Q", "F2", "F3"])
-    @pytest.mark.parametrize("filename", SHIPPED_FINITE)
+    @pytest.mark.parametrize(
+        "filename, token",
+        [(f, t) for f in SHIPPED_FINITE for t in ("Q", "F2", "F3")] + [("D12", "F2"), ("A12", "F2")],
+    )
     def test_catalog_equals_per_root_rebuild(self, filename, token):
-        q = shipped_quiver(filename)
+        """D12 and A12 are generated: threads of 131 and 77 steps on 12
+        vertices, so each passes phase 0 several times."""
+        if filename in SHIPPED_FINITE:
+            q = shipped_quiver(filename)
+        else:
+            q = build_quiver(filename[0], int(filename[1:]))
         field = parse_field(token)
         cat = all_indecomposables(q, field)
         assert [r for r, _ in cat.entries] == list(positive_roots(q))
@@ -197,6 +206,21 @@ class TestSharedWalks:
         monkeypatch.setattr(indec, "reflect_at_source", counted)
         all_indecomposables(shipped_quiver(filename), F2)
         assert count["calls"] == calls
+
+    def test_build_peak_stays_near_the_catalog_size(self):
+        """No module outlives its thread unless the catalog keeps it: the
+        traced peak of a linear D20 catalog build over F2 is at most 1.5 times
+        what the catalog retains (a memo of every walk state reads 5 times)."""
+        q = build_quiver("D", 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cat = all_indecomposables(q, F2)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cat) == 380
+        assert peak - base <= 1.5 * (size - base)
 
 
 class TestProjectionOracle:
@@ -222,15 +246,19 @@ class TestProjectionOracle:
             assert new_q == want.quiver and got == want, (Q.name, i, M.dims)
 
 
+def _patch_wrong_dims(monkeypatch):
+    original = indec.reflect_at_source
+
+    def wrong_dims(Q, i, M):
+        q, _ = original(Q, i, M)
+        return q, Representation.zero(q, M.field)
+
+    monkeypatch.setattr(indec, "reflect_at_source", wrong_dims)
+
+
 class TestInvariantMessages:
     def test_bookkeeping_failure_names_the_site(self, monkeypatch):
-        original = indec.reflect_at_source
-
-        def wrong_dims(Q, i, M):
-            q, _ = original(Q, i, M)
-            return q, Representation.zero(q, M.field)
-
-        monkeypatch.setattr(indec, "reflect_at_source", wrong_dims)
+        _patch_wrong_dims(monkeypatch)
         expected = (
             "quiver A3_linear, root (1,1,1), walk step 1, vertex 2: "
             "dimension bookkeeping failed: (0, 0, 0) != (1, 1, 0)"
@@ -244,6 +272,40 @@ class TestInvariantMessages:
         assert code == 5
         assert out == ""
         assert err == f"error: {expected}\n"
+
+    def test_catalog_bookkeeping_failure_names_the_site(self, monkeypatch):
+        """The first thread of A3_linear walks up from the simple root at
+        vertex 3 to the root (1,1,0); its first functor call rebuilds step 3
+        of that root's walk."""
+        _patch_wrong_dims(monkeypatch)
+        expected = (
+            "quiver A3_linear, root (1,1,0), walk step 3, vertex 3: "
+            "dimension bookkeeping failed: (0, 0, 0) != (0, 1, 1)"
+        )
+        with pytest.raises(InternalInvariantError) as exc:
+            all_indecomposables(shipped_quiver("a3_linear.quiver"), QQ)
+        assert str(exc.value) == expected
+        code, out, err = run_cli(["verify-udr", str(SHIPPED / "a3_linear.quiver"), "--field", "Q"])
+        assert code == 5
+        assert out == ""
+        assert err == f"error: {expected}\n"
+
+    def test_walk_cap_names_the_site(self, monkeypatch):
+        """A walk that never meets a simple root stops after n max(n, 15) steps."""
+        monkeypatch.setattr(indec, "simple_reflection", lambda Q, i, d: d)
+        with pytest.raises(InternalInvariantError) as exc:
+            construct_indecomposable(shipped_quiver("a3_linear.quiver"), (1, 1, 1), QQ)
+        assert str(exc.value) == (
+            "quiver A3_linear, root (1,1,1), walk step 45, vertex 3: "
+            "reflection walk did not reach a simple root"
+        )
+
+    def test_one_module_per_root(self, monkeypatch):
+        q = shipped_quiver("a3_linear.quiver")
+        monkeypatch.setattr(indec, "positive_roots", lambda Q: [*positive_roots(Q), (1, 0, 1)])
+        with pytest.raises(InternalInvariantError) as exc:
+            all_indecomposables(q, QQ)
+        assert str(exc.value) == "quiver A3_linear: the threads do not give one module per positive root"
 
 
 class TestDimensionBookkeeping:
