@@ -23,7 +23,6 @@ from .errors import (
 )
 from .formats import (
     check_pair_size,
-    field_token,
     parse_field,
     parse_quiver_file,
     parse_rep_file,
@@ -144,7 +143,7 @@ def _cmd_ext(args) -> int:
     _, src = parse_rep_file(_read(args.src), Q)
     _, dst = parse_rep_file(_read(args.dst), Q)
     if src.field != dst.field:
-        raise MismatchError(f"field mismatch: {field_token(src.field)} vs {field_token(dst.field)}")
+        raise MismatchError(f"field mismatch: {src.field} vs {dst.field}")
     check_pair_size(src, dst)
     hom, ext = hom_ext_dims(src, dst)
     euler = euler_form(Q, src.dims, dst.dims)
@@ -157,7 +156,7 @@ def _cmd_ext(args) -> int:
         sys.stdout.write(report_json("ext", Q.name, src.field, result))
     else:
         print(f"quiver: {Q.name}")
-        print(f"field: {field_token(src.field)}")
+        print(f"field: {src.field}")
         print(f"dim Hom = {hom}")
         print(f"dim Ext1 = {ext}")
         print(f"euler form = {euler}")
@@ -187,7 +186,7 @@ def _cmd_verify_udr(args) -> int:
         if args.format == "json":
             sys.stdout.write(report_json("verify-udr", Q.name, field, _udr_entry(d, report)))
         else:
-            print(f"quiver: {Q.name} over {field_token(field)}")
+            print(f"quiver: {Q.name} over {field}")
             print(_udr_line(d, report))
         if report.verdict is UDRVerdict.ISOMORPHIC_TO_K:
             return EXIT_OK
@@ -206,7 +205,7 @@ def _cmd_verify_udr(args) -> int:
         }
         sys.stdout.write(report_json("verify-udr", Q.name, field, result))
     else:
-        print(f"quiver: {Q.name} over {field_token(field)}")
+        print(f"quiver: {Q.name} over {field}")
         for root, report in reports:
             print(_udr_line(root, report))
         print(f"THEOREM VERIFIED: {verified}/{total} indecomposables have R(kQ,M) ≅ k")

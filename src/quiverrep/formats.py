@@ -29,8 +29,9 @@ before anything is assembled.  The map is a dense list of entries, and on a
 15 MB base (102 MB for the 1900 x 2000 map of two A20 files of dim 10), so
 the bound keeps its memory near the 113 MB of the largest catalog that
 MAX_VERTICES admits.  It bounds memory, not time: over Q with random
-entries the 1216 x 1280 map of two A20 files of dim 8 took 38 s.  Every pair
-of indecomposables on an accepted quiver passes with room to spare: every
+entries in [-3, 3] the 1216 x 1280 map of two A20 files of dim 8 took 63 s
+to 79 s on that VM, from Bareiss coefficient growth.  Every pair of
+indecomposables on an accepted quiver passes with room to spare: every
 positive root lies below the highest root, so the largest such map is that
 of the D80 highest root with itself, 310 x 311.  A field token F<p>
 needs p < MAX_CHAR = 2**31, checked on the digit string before `int()`:
@@ -60,7 +61,6 @@ from .rep import Representation
 
 __all__ = [
     "parse_field",
-    "field_token",
     "parse_quiver_file",
     "quiver_file_text",
     "parse_rep_file",
@@ -98,10 +98,6 @@ def parse_field(token: str) -> Field:
         return Field(p)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def field_token(field: Field) -> str:
-    return "Q" if field.is_rational else f"F{field.char}"
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -259,12 +255,12 @@ def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
 def _matrix_literal(m: Matrix) -> str:
     rows = []
     for i in range(m.rows):
-        rows.append("[" + ",".join(m.field.format(x) for x in m.row(i)) + "]")
+        rows.append("[" + ",".join(str(x) for x in m.row(i)) + "]")
     return "[" + ",".join(rows) + "]"
 
 
 def rep_file_text(rep: Representation, name: str = "M") -> str:
-    lines = [f"rep {name} over {field_token(rep.field)}"]
+    lines = [f"rep {name} over {rep.field}"]
     for lbl, d in zip(rep.quiver.labels, rep.dims):
         lines.append(f"dim {lbl} = {d}")
     for a, m in zip(rep.quiver.arrows, rep.maps):
@@ -277,7 +273,7 @@ def report_json(command: str, quiver_name: str, field: Field | None, result: dic
     payload = {
         "command": command,
         "quiver": quiver_name,
-        "field": None if field is None else field_token(field),
+        "field": None if field is None else str(field),
         "result": result,
         "version": __version__,
     }

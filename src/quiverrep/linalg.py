@@ -6,16 +6,16 @@ columns it needs: none for `rank` and `cokernel_basis`, the free columns for
 are scaled to integers by the lcm of their denominators and reduced by
 fraction-free (Bareiss) elimination with positive pivots, so entries stay
 bounded by minors of the input; the back substitution solves for D*x, D the
-last pivot, with checked exact divisions and one Fraction per nonzero entry
-at the end.  Prime-field rows use modular elimination with unit pivots.  A
-step updates the rows below the pivot from the pivot column on.  Pivoting
-is canonical (first nonzero entry in column order, lowest row first), so
-every basis returned is reproducible bit for bit.
+last pivot, with checked exact divisions and one Fraction per non-integral
+entry at the end.  Prime-field rows use modular elimination with unit
+pivots.  A step updates the rows below the pivot from the pivot column on.
+Pivoting is canonical (first nonzero entry in column order, lowest row
+first), so every basis returned is reproducible bit for bit.
 
 The `Matrix` constructor is the one place where entries become canonical, in
-one pass per field: ints are reduced mod p directly, Fractions over Q are
-kept, and any other input goes through `Field.canon`, so each stored entry is
-exactly `field.canon(x)`.  Matrix arithmetic and `solve` hand it raw sums,
+one pass per field: ints are reduced mod p, or kept as they are over Q, and
+any other input goes through `Field.canon`, so each stored entry is exactly
+`field.canon(x)`.  Matrix arithmetic and `solve` hand it raw sums,
 differences and right-hand sides without reducing them first.  Immutability,
 equality, hashing and copying come from `value.Value`.
 """
@@ -59,8 +59,13 @@ def _is_prime(n: int) -> bool:
 class Field(Value):
     """The rationals (`Field(0)`, also `QQ`) or the prime field with `char` elements.
 
-    Rational elements are `fractions.Fraction` in lowest terms; prime-field
-    elements are ints reduced to the range [0, p).
+    A rational element is an int when it is an integer and a
+    `fractions.Fraction` in lowest terms otherwise; a prime-field element is
+    an int in the range [0, p).  So 0 and 1 are the zero and one of every
+    field, `str` prints every element as the `.rep` format writes it, and
+    equality and hashing agree across the two rational types.  Nothing here
+    divides field elements with `/`, which would turn integral rationals
+    back into Fractions.
     """
 
     _fields = ("char",)
@@ -83,20 +88,17 @@ class Field(Value):
         return self.char == 0
 
     def canon(self, x):
-        """Reduce an int or Fraction to the canonical element representation."""
-        if self.char == 0:
-            return x if isinstance(x, Fraction) else Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.char == 0:
-                raise ZeroDivisionError(f"denominator {x.denominator} vanishes mod {self.char}")
-            return x.numerator * pow(x.denominator, -1, self.char) % self.char
-        return x % self.char
-
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        """The canonical element equal to x, an int, Fraction, bool or float
+        (floats are converted exactly)."""
+        p = self.char
+        if p and isinstance(x, int):
+            return x % p
+        x = x if type(x) is Fraction else Fraction(x)
+        if not p:
+            return x.numerator if x.denominator == 1 else x
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator {x.denominator} vanishes mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def neg(self, x):
         return -x if self.char == 0 else (-x) % self.char
@@ -111,11 +113,6 @@ class Field(Value):
                 raise ZeroDivisionError(f"zero denominator in {token!r}")
             return self.canon(Fraction(num, den))
         return self.canon(int(token))
-
-    def format(self, x) -> str:
-        if self.char == 0 and x.denominator != 1:
-            return f"{x.numerator}/{x.denominator}"
-        return str(int(x))
 
     def __str__(self) -> str:
         return "Q" if self.char == 0 else f"F{self.char}"
@@ -143,7 +140,7 @@ class Matrix(Value):
         if p:
             ents = [x % p if type(x) is int else field.canon(x) for x in entries]
         else:
-            ents = [x if type(x) is Fraction else field.canon(x) for x in entries]
+            ents = [x if type(x) is int else field.canon(x) for x in entries]
         setfield(self, "entries", tuple(ents))
 
     @classmethod
@@ -160,7 +157,7 @@ class Matrix(Value):
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero()] * (rows * cols))
+        return cls(field, rows, cols, [0] * (rows * cols))
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -178,8 +175,7 @@ class Matrix(Value):
         return Matrix(self.field, self.cols, self.rows, flat)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero()
-        return all(x == zero for x in self.entries)
+        return not any(self.entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -207,25 +203,23 @@ class Matrix(Value):
             raise ValueError("matrix shape or field mismatch")
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(self.field.format(x) for x in self.row(i)) for i in range(self.rows))
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
 # --- elimination kernels ------------------------------------------------
 
-_ZERO = Fraction(0)
 
+def _integer_rows(rows: list[list]) -> list[list[int]]:
+    """Scale each row by the lcm of its denominators in place (kernel/rank preserving).
 
-def _integer_rows(frac_rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel/rank preserving)."""
-    out = []
-    for r in frac_rows:
-        mult = lcm(*(x.denominator for x in r))
-        if mult == 1:
-            out.append([x.numerator for x in r])
-        else:
-            out.append([x.numerator * (mult // x.denominator) for x in r])
-    return out
+    A row with no Fraction, whose lcm is 1, is already ints and is kept as it is.
+    """
+    for i, r in enumerate(rows):
+        if Fraction in map(type, r):
+            mult = lcm(*(x.denominator for x in r))
+            rows[i] = [x.numerator * (mult // x.denominator) for x in r]
+    return rows
 
 
 def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
@@ -346,9 +340,9 @@ def _back_substitute(A: Matrix, rows_: list[list[int]], pivots: list[int], cols:
                 )
             acc = [q for q, _ in qr]
         ys[k] = acc
-    if p:
+    if big_d == 1:
         return ys
-    return [[Fraction(y, big_d) if y else _ZERO for y in row] for row in ys]
+    return [[Fraction(y, big_d) if y % big_d else y // big_d for y in row] for row in ys]
 
 
 def _free_columns(n: int, pivots: list[int]) -> list[int]:
@@ -362,9 +356,9 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     free = _free_columns(A.cols, pivots)
     vals = _back_substitute(A, rows_, pivots, free)
     field, n = A.field, A.cols
-    flat = [_ZERO if field.is_rational else 0] * (A.rows * n)
+    flat = [0] * (A.rows * n)
     for k, pc in enumerate(pivots):
-        flat[k * n + pc] = field.one()
+        flat[k * n + pc] = 1
         for j, x in zip(free, vals[k]):
             flat[k * n + j] = x
     return Matrix(field, A.rows, n, flat), tuple(pivots)
@@ -381,11 +375,10 @@ def kernel_basis(A: Matrix) -> list[tuple]:
     free = _free_columns(A.cols, pivots)
     vals = _back_substitute(A, rows_, pivots, free)
     field = A.field
-    zero, one = field.zero(), field.one()
     basis = []
     for t, j in enumerate(free):
-        v = [zero] * A.cols
-        v[j] = one
+        v = [0] * A.cols
+        v[j] = 1
         for k, pc in enumerate(pivots):
             v[pc] = field.neg(vals[k][t])
         basis.append(tuple(v))
@@ -398,9 +391,8 @@ def cokernel_basis(A: Matrix) -> list[tuple]:
     Coordinates are pivots of the column space (forward pass on the transpose);
     the remaining standard basis vectors descend to a basis of the cokernel.
     """
-    zero, one = A.field.zero(), A.field.one()
     free = _free_columns(A.rows, _echelon(A.transpose())[1])
-    return [tuple(one if t == i else zero for t in range(A.rows)) for i in free]
+    return [tuple(int(t == i) for t in range(A.rows)) for i in free]
 
 
 def solve(A: Matrix, b: Sequence):
@@ -415,7 +407,7 @@ def solve(A: Matrix, b: Sequence):
     rows_, pivots = _echelon(aug)
     if A.cols in pivots:
         return None
-    x = [A.field.zero()] * A.cols
+    x = [0] * A.cols
     for pc, (val,) in zip(pivots, _back_substitute(aug, rows_, pivots, [A.cols])):
         x[pc] = val
     return tuple(x)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import MismatchError
 from .linalg import Field, Matrix, kernel_basis, cokernel_basis, rank, solve
-from .quiver import Quiver, euler_form
+from .quiver import Quiver
 from .value import Value, setfield
 
 __all__ = [
@@ -171,7 +171,7 @@ def commutation_map(M: Representation, N: Representation) -> Matrix:
     _check_compatible(M, N)
     voffs, dom = _domain_offsets(M, N)
     _, cod = _codomain_offsets(M, N)
-    flat = [M.field.zero()] * (cod * dom)
+    flat = [0] * (cod * dom)
     row = 0
     for a, f, g in zip(M.quiver.arrows, M.maps, N.maps):
         ms, mt = M.dims[a.source], M.dims[a.target]
@@ -269,7 +269,6 @@ def direct_sum(M: Representation, N: Representation) -> Representation:
     Q = M.quiver
     field = M.field
     dims = tuple(a + b for a, b in zip(M.dims, N.dims))
-    zero = field.zero()
     mats = []
     for k, a in enumerate(Q.arrows):
         f, g = M.maps[k], N.maps[k]
@@ -282,7 +281,7 @@ def direct_sum(M: Representation, N: Representation) -> Representation:
                 elif i >= f.rows and j >= f.cols:
                     flat.append(g.entry(i - f.rows, j - f.cols))
                 else:
-                    flat.append(zero)
+                    flat.append(0)
         mats.append(Matrix(field, rows_, cols_, flat))
     return Representation(Q, field, dims, tuple(mats))
 

@@ -259,7 +259,6 @@ def columnwise_commutation_map(M: Representation, N: Representation) -> tuple[in
     """
     Q = M.quiver
     p = M.field.char
-    zero = M.field.zero()
     aoffs, cod = [], 0
     for a in Q.arrows:
         aoffs.append(cod)
@@ -268,7 +267,7 @@ def columnwise_commutation_map(M: Representation, N: Representation) -> tuple[in
     for i in range(Q.vertex_count):
         for r in range(N.dims[i]):
             for s in range(M.dims[i]):
-                col = [zero] * cod
+                col = [0] * cod
                 for k, a in enumerate(Q.arrows):
                     base = aoffs[k]
                     ms = M.dims[a.source]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -34,7 +36,8 @@ P1 = Representation.from_maps(A2, QQ, (1, 1), {"a1": Matrix.from_rows(QQ, [[1]])
 
 RANK_LE_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
 
-SHIPPED = Path(__file__).parent.parent / "quivers"
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ROOT / "quivers"
 
 
 def shipped_quiver(filename: str):
@@ -44,6 +47,18 @@ def shipped_quiver(filename: str):
 SHIPPED_FINITE = sorted(
     p.name for p in SHIPPED.glob("*.quiver") if classify(shipped_quiver(p.name)).finite
 )
+
+
+def _load_digest_tool():
+    spec = importlib.util.spec_from_file_location("catalog_digests", ROOT / "tools" / "catalog_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digests = _load_digest_tool()
+# sha256 of each shipped catalog's .rep bytes, written by tools/catalog_digests.py
+CATALOG_SHA256 = json.loads(digests.GOLDEN.read_text(encoding="utf-8"))
 
 
 class TestReflectAtSink:
@@ -179,7 +194,8 @@ class TestSharedWalks:
     )
     def test_catalog_equals_per_root_rebuild(self, filename, token):
         """D12 and A12 are generated: threads of 131 and 77 steps on 12
-        vertices, so each passes phase 0 several times."""
+        vertices, so each passes phase 0 several times.  A shipped catalog
+        must also hash to its recorded digest, and over Q hold only ints."""
         if filename in SHIPPED_FINITE:
             q = shipped_quiver(filename)
         else:
@@ -190,6 +206,14 @@ class TestSharedWalks:
         for root, m in cat.entries:
             direct = construct_indecomposable(q, root, field)
             assert rep_file_text(m) == rep_file_text(direct), root
+        if filename in SHIPPED_FINITE:
+            assert digests.catalog_digest(cat) == CATALOG_SHA256[filename][token]
+        if field.is_rational:
+            assert all(type(x) is int for _, m in cat.entries for f in m.maps for x in f.entries)
+
+    def test_recorded_digests_cover_every_shipped_catalog(self):
+        assert sorted(CATALOG_SHA256) == SHIPPED_FINITE
+        assert all(sorted(d) == sorted(digests.FIELDS) for d in CATALOG_SHA256.values())
 
     @pytest.mark.parametrize(
         "filename, calls",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,7 +49,7 @@ class TestField:
 
     def test_parse_and_format_round_trip(self):
         for token in ["3", "-2", "7/4", "-9/5"]:
-            assert QQ.format(QQ.parse(token)) == token
+            assert str(QQ.parse(token)) == token
         assert F5.parse("7/4") == F5.canon(Fraction(7, 4))
 
 
@@ -352,7 +353,10 @@ def test_back_substitution_rejects_a_corrupt_echelon_form():
 
 
 def test_rational_rank_and_rref_construct_no_intermediate_fractions(monkeypatch):
+    """`rank` makes no Fraction, and `rref` one per non-integral entry; the
+    second matrix's rref is [[1, 0, 1/3], [0, 1, 1/3]], so that count is 2."""
     a = mat(QQ, [[Fraction(1, 2), -1, 3], [2, Fraction(-3, 4), 0], [-1, 5, Fraction(7, 3)], [1, 1, 1]])
+    b = mat(QQ, [[2, 1, 1], [0, Fraction(3, 2), Fraction(1, 2)]])
     made = []
     original = Fraction.__new__
 
@@ -361,7 +365,50 @@ def test_rational_rank_and_rref_construct_no_intermediate_fractions(monkeypatch)
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    assert rank(a) == 3
-    assert made == []
-    r, _ = rref(a)
-    assert len(made) == sum(1 for x in r.entries if x)
+    for m, want_rank, want_fractions in ((a, 3, 0), (b, 2, 2)):
+        made.clear()
+        assert rank(m) == want_rank
+        assert made == []
+        r, _ = rref(m)
+        assert len(made) == sum(1 for x in r.entries if x.denominator != 1) == want_fractions
+
+
+def test_floats_are_converted_exactly_in_every_field():
+    m = Matrix(Field(3), 1, 3, [0.5, 2.0, 7])
+    assert m.entries == (2, 2, 1)
+    assert [type(x) for x in m.entries] == [int, int, int]
+    assert rank(m) == 1
+    q = Matrix(QQ, 1, 3, [0.5, 2.0, 7])
+    assert q.entries == (Fraction(1, 2), 2, 7)
+    assert [type(x) for x in q.entries] == [Fraction, int, int]
+
+
+def _is_canonical_rational(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=rational_matrices(), rhs=st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_integral_rationals_are_ints(data, rhs):
+    """Every coordinate a rational routine returns is an int when it is
+    integral and a Fraction otherwise; a matrix of Fraction(n) entries is
+    the matrix of the ints n; pickling keeps ints ints."""
+    rows, ncols = data
+    a = Matrix.from_rows(QQ, rows, cols=ncols)
+    x = solve(a, [Fraction(v) for v in rhs[: len(rows)]])
+    coords = [
+        *rref(a)[0].entries,
+        *(c for v in kernel_basis(a) for c in v),
+        *(c for v in cokernel_basis(a) for c in v),
+        *(x or ()),
+    ]
+    assert all(_is_canonical_rational(c) for c in coords), coords
+    assert all(_is_canonical_rational(c) for c in a.entries)
+
+    as_fractions = Matrix.from_rows(QQ, [[Fraction(v) for v in r] for r in rows], cols=ncols)
+    assert as_fractions == a and hash(as_fractions) == hash(a)
+    assert [type(c) for c in as_fractions.entries] == [type(c) for c in a.entries]
+
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a
+    assert [type(c) for c in back.entries] == [type(c) for c in a.entries]
