@@ -1,100 +1,17 @@
-"""Exact computation with quiver representations over the rationals and prime fields."""
+"""Exact computation with quiver representations over the rationals and prime fields.
+
+The package re-exports the `__all__` of `linalg`, `quiver`, `roots`, `rep`,
+`indec` and `deform`; each module's `__all__` is its public API.
+"""
 
 __version__ = "0.1.0"
 
-from .linalg import Field, Matrix, QQ, rank, kernel_basis, cokernel_basis, solve
-from .quiver import (
-    Arrow,
-    Classification,
-    DynkinType,
-    Quiver,
-    classify,
-    euler_form,
-    is_positive_definite,
-    tits_form,
-)
-from .roots import RootSet, positive_roots, simple_reflection
-from .rep import (
-    ExtSpace,
-    IsoVerdict,
-    MorphismSpace,
-    Representation,
-    commutation_map,
-    direct_sum,
-    end_dim,
-    ext1_space,
-    hom_ext_dims,
-    hom_space,
-    is_coboundary,
-    is_isomorphic,
-    is_schur,
-    isomorphism_verdict,
-)
-from .indec import (
-    IndecCatalog,
-    all_indecomposables,
-    construct_indecomposable,
-    generic_rep_oracle,
-    reflect_at_sink,
-    reflect_at_source,
-)
-from .deform import (
-    DualNumberLift,
-    UDRReport,
-    UDRVerdict,
-    lifts_isomorphic,
-    make_lift,
-    tangent_space_dim,
-    trivial_lift,
-    udr_report,
-)
+from . import linalg, quiver, roots, rep, indec, deform
+from .linalg import *
+from .quiver import *
+from .roots import *
+from .rep import *
+from .indec import *
+from .deform import *
 
-__all__ = [
-    "__version__",
-    "Field",
-    "Matrix",
-    "QQ",
-    "rank",
-    "kernel_basis",
-    "cokernel_basis",
-    "solve",
-    "Arrow",
-    "Quiver",
-    "DynkinType",
-    "Classification",
-    "classify",
-    "euler_form",
-    "tits_form",
-    "is_positive_definite",
-    "RootSet",
-    "simple_reflection",
-    "positive_roots",
-    "Representation",
-    "MorphismSpace",
-    "ExtSpace",
-    "IsoVerdict",
-    "commutation_map",
-    "hom_space",
-    "ext1_space",
-    "hom_ext_dims",
-    "is_coboundary",
-    "end_dim",
-    "is_schur",
-    "direct_sum",
-    "is_isomorphic",
-    "isomorphism_verdict",
-    "IndecCatalog",
-    "reflect_at_sink",
-    "reflect_at_source",
-    "construct_indecomposable",
-    "all_indecomposables",
-    "generic_rep_oracle",
-    "DualNumberLift",
-    "UDRVerdict",
-    "UDRReport",
-    "tangent_space_dim",
-    "make_lift",
-    "trivial_lift",
-    "lifts_isomorphic",
-    "udr_report",
-]
+__all__ = ["__version__"] + [name for m in (linalg, quiver, roots, rep, indec, deform) for name in m.__all__]

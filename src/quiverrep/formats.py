@@ -41,8 +41,7 @@ limit.  A quiver may have at most MAX_VERTICES = 80 vertices, checked on
 the vertices line before the quiver is built.  D_n is the worst case, with
 n(n-1) positive roots and a catalog of that many modules: on a 2-core VM
 under Python 3.11, `verify-udr --field Q` of a linear D80 took 45 s with a
-peak RSS of 113 MB (62-64 s and 1.8 GB when the catalog kept a memo of every
-walk state), while `roots` took 0.85 s on D80 and 0.46 s on A80.
+peak RSS of 113 MB, while `roots` took 0.85 s on D80 and 0.46 s on A80.
 Reports are rendered with sorted keys and a fixed layout so equal inputs
 give equal bytes.
 """
@@ -246,7 +245,7 @@ def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
         a = arrow_by_name[aid]
         maps[aid] = _parse_matrix_literal(literal, field, dims[a.target], dims[a.source], lineno)
     try:
-        rep = Representation.from_maps(quiver, field, tuple(dims), maps)
+        rep = Representation.from_maps(quiver, field, dims, maps)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return name, rep

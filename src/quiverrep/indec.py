@@ -55,8 +55,8 @@ def _dual(M: Representation) -> Representation:
     """The dual D M over the opposite quiver: every arrow reversed, every map
     transposed (coordinates of each dual space in the dual basis)."""
     Q = M.quiver
-    opposite = Quiver(Q.labels, tuple(Arrow(a.name, a.target, a.source) for a in Q.arrows), Q.name)
-    return Representation(opposite, M.field, M.dims, tuple(f.transpose() for f in M.maps))
+    opposite = Quiver(Q.labels, (Arrow(a.name, a.target, a.source) for a in Q.arrows), Q.name)
+    return Representation(opposite, M.field, M.dims, (f.transpose() for f in M.maps))
 
 
 def reflect_at_sink(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Representation]:
@@ -105,7 +105,7 @@ def reflect_at_source(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Rep
             off += tgt_dim
         else:
             new_maps.append(f)
-    return new_quiver, Representation(new_quiver, field, new_dims, tuple(new_maps))
+    return new_quiver, Representation(new_quiver, field, new_dims, new_maps)
 
 
 def _reflection_pass(Q: Quiver) -> tuple[list[int], list[Quiver]]:
@@ -240,7 +240,7 @@ def generic_rep_oracle(Q: Quiver, d, field: Field, seed: int = 0) -> Representat
             else:
                 ents = [rng.randint(-5, 5) for _ in range(rows_ * cols_)]
             maps.append(Matrix(field, rows_, cols_, ents))
-        rep = Representation(Q, field, d, tuple(maps))
+        rep = Representation(Q, field, d, maps)
         if is_schur(rep):
             return rep
     raise RetryCapError(f"no Schur representation of dimension {d} found in 50 samples")

@@ -34,7 +34,6 @@ __all__ = [
     "QQ",
     "Matrix",
     "rank",
-    "rref",
     "kernel_basis",
     "cokernel_basis",
     "solve",

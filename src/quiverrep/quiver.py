@@ -56,7 +56,8 @@ class Quiver(Value):
 
     _fields = ("labels", "arrows", "name")
 
-    def __init__(self, labels: tuple[str, ...], arrows: tuple[Arrow, ...], name: str = ""):
+    def __init__(self, labels: Sequence[str], arrows: Sequence[Arrow], name: str = ""):
+        labels, arrows = tuple(labels), tuple(arrows)
         setfield(self, "labels", labels)
         setfield(self, "arrows", arrows)
         setfield(self, "name", name)
@@ -82,7 +83,7 @@ class Quiver(Value):
 
     @staticmethod
     def from_edges(labels: Sequence[str], edges: Sequence[tuple[str, int, int]], name: str = "") -> "Quiver":
-        return Quiver(tuple(labels), tuple(Arrow(nm, s, t) for nm, s, t in edges), name)
+        return Quiver(labels, (Arrow(nm, s, t) for nm, s, t in edges), name)
 
     @property
     def vertex_count(self) -> int:

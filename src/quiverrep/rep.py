@@ -52,7 +52,8 @@ class Representation(Value):
 
     _fields = ("quiver", "field", "dims", "maps")
 
-    def __init__(self, quiver: Quiver, field: Field, dims: tuple[int, ...], maps: tuple[Matrix, ...]):
+    def __init__(self, quiver: Quiver, field: Field, dims: Sequence[int], maps: Sequence[Matrix]):
+        dims, maps = tuple(dims), tuple(maps)
         setfield(self, "quiver", quiver)
         setfield(self, "field", field)
         setfield(self, "dims", dims)
@@ -83,7 +84,6 @@ class Representation(Value):
     @staticmethod
     def from_maps(quiver: Quiver, field: Field, dims: Sequence[int], maps_by_name: dict[str, Matrix] | None = None) -> "Representation":
         """Build a representation from a (possibly partial) arrow-name -> matrix dict."""
-        dims = tuple(dims)
         maps_by_name = maps_by_name or {}
         mats = []
         for a in quiver.arrows:
@@ -91,7 +91,7 @@ class Representation(Value):
             if m is None:
                 m = Matrix.zeros(field, dims[a.target], dims[a.source])
             mats.append(m)
-        return Representation(quiver, field, dims, tuple(mats))
+        return Representation(quiver, field, dims, mats)
 
     @staticmethod
     def zero(quiver: Quiver, field: Field) -> "Representation":
@@ -143,22 +143,25 @@ def _check_compatible(M: Representation, N: Representation):
         raise MismatchError(f"field mismatch: {M.field} vs {N.field}")
 
 
-def _domain_offsets(M: Representation, N: Representation) -> tuple[list[int], int]:
-    offs = []
-    pos = 0
-    for mi, ni in zip(M.dims, N.dims):
-        offs.append(pos)
-        pos += ni * mi
-    return offs, pos
+def _blocks(M: Representation, N: Representation) -> list[tuple[list[tuple[int, int, int]], int]]:
+    """Phi's block layout: [(domain blocks, domain size), (codomain blocks, codomain size)].
+
+    A block is (offset, rows, cols): one N_i x M_i block per vertex i in the
+    domain, one N_target(a) x M_source(a) block per arrow a in the codomain.
+    """
+    layout = []
+    for shapes in (zip(N.dims, M.dims), [(N.dims[a.target], M.dims[a.source]) for a in M.quiver.arrows]):
+        blocks, pos = [], 0
+        for rows, cols in shapes:
+            blocks.append((pos, rows, cols))
+            pos += rows * cols
+        layout.append((blocks, pos))
+    return layout
 
 
-def _codomain_offsets(M: Representation, N: Representation) -> tuple[list[int], int]:
-    offs = []
-    pos = 0
-    for a in M.quiver.arrows:
-        offs.append(pos)
-        pos += N.dims[a.target] * M.dims[a.source]
-    return offs, pos
+def _split(vec: Sequence, blocks: list[tuple[int, int, int]], field: Field) -> tuple[Matrix, ...]:
+    """Cut a coordinate vector into one matrix per block."""
+    return tuple(Matrix(field, rows, cols, vec[off : off + rows * cols]) for off, rows, cols in blocks)
 
 
 def commutation_map(M: Representation, N: Representation) -> Matrix:
@@ -169,8 +172,8 @@ def commutation_map(M: Representation, N: Representation) -> Matrix:
     only when a is a loop, where they are added.
     """
     _check_compatible(M, N)
-    voffs, dom = _domain_offsets(M, N)
-    _, cod = _codomain_offsets(M, N)
+    (vblocks, dom), (_, cod) = _blocks(M, N)
+    voffs = [off for off, _, _ in vblocks]
     flat = [0] * (cod * dom)
     row = 0
     for a, f, g in zip(M.quiver.arrows, M.maps, N.maps):
@@ -193,48 +196,19 @@ def commutation_map(M: Representation, N: Representation) -> Matrix:
     return Matrix(M.field, cod, dom, flat)
 
 
-def _unflatten_vertex(vec: Sequence, M: Representation, N: Representation) -> tuple[Matrix, ...]:
-    voffs, _ = _domain_offsets(M, N)
-    mats = []
-    for i, off in enumerate(voffs):
-        mi, ni = M.dims[i], N.dims[i]
-        mats.append(Matrix(M.field, ni, mi, vec[off : off + ni * mi]))
-    return tuple(mats)
-
-
-def _unflatten_arrow(vec: Sequence, M: Representation, N: Representation) -> tuple[Matrix, ...]:
-    aoffs, _ = _codomain_offsets(M, N)
-    mats = []
-    for k, a in enumerate(M.quiver.arrows):
-        rows_, cols_ = N.dims[a.target], M.dims[a.source]
-        mats.append(Matrix(M.field, rows_, cols_, vec[aoffs[k] : aoffs[k] + rows_ * cols_]))
-    return tuple(mats)
-
-
-def _flatten_arrow(eta: Sequence[Matrix], M: Representation, N: Representation) -> list:
-    if len(eta) != len(M.quiver.arrows):
-        raise MismatchError("need one matrix per arrow")
-    vec: list = []
-    for a, m in zip(M.quiver.arrows, eta):
-        if m.rows != N.dims[a.target] or m.cols != M.dims[a.source] or m.field != M.field:
-            raise MismatchError(
-                f"cocycle matrix for {a.name!r} must be {N.dims[a.target]}x{M.dims[a.source]} over {M.field}"
-            )
-        vec.extend(m.entries)
-    return vec
-
-
 def hom_space(M: Representation, N: Representation) -> MorphismSpace:
     """Canonical basis of the space of quiver morphisms M -> N."""
     phi = commutation_map(M, N)
-    basis = tuple(_unflatten_vertex(v, M, N) for v in kernel_basis(phi))
+    (vblocks, _), _ = _blocks(M, N)
+    basis = tuple(_split(v, vblocks, M.field) for v in kernel_basis(phi))
     return MorphismSpace(M, N, basis)
 
 
 def ext1_space(M: Representation, N: Representation) -> ExtSpace:
     """Cocycle representatives of Ext^1(M, N) as a cokernel of the commutation map."""
     phi = commutation_map(M, N)
-    cocycles = tuple(_unflatten_arrow(v, M, N) for v in cokernel_basis(phi))
+    _, (ablocks, _) = _blocks(M, N)
+    cocycles = tuple(_split(v, ablocks, M.field) for v in cokernel_basis(phi))
     return ExtSpace(M, N, cocycles)
 
 
@@ -247,9 +221,15 @@ def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:
 
 def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -> bool:
     """Whether an arrow-indexed cocycle lies in the image of the commutation map."""
-    vec = _flatten_arrow(eta, M, N)
-    phi = commutation_map(M, N)
-    return solve(phi, vec) is not None
+    _check_compatible(M, N)
+    _, (ablocks, _) = _blocks(M, N)
+    if len(eta) != len(ablocks):
+        raise MismatchError("need one matrix per arrow")
+    for a, (_, rows, cols), m in zip(M.quiver.arrows, ablocks, eta):
+        if m.rows != rows or m.cols != cols or m.field != M.field:
+            raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
+    vec = [x for m in eta for x in m.entries]
+    return solve(commutation_map(M, N), vec) is not None
 
 
 def end_dim(M: Representation) -> int:
@@ -283,7 +263,7 @@ def direct_sum(M: Representation, N: Representation) -> Representation:
                 else:
                     flat.append(0)
         mats.append(Matrix(field, rows_, cols_, flat))
-    return Representation(Q, field, dims, tuple(mats))
+    return Representation(Q, field, dims, mats)
 
 
 class IsoVerdict(Enum):

@@ -119,9 +119,19 @@ class TestIsCoboundary:
         eta = (Matrix.from_rows(QQ, [[7]]),)
         assert is_coboundary(P1, P1, eta)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(MismatchError):
-            is_coboundary(S1, S2, (Matrix.zeros(QQ, 2, 2),))
+    @pytest.mark.parametrize(
+        "target, eta, message",
+        [
+            (S2, (Matrix.zeros(QQ, 2, 2),), "cocycle matrix for 'a1' must be 1x1 over Q"),
+            (S2, (), "need one matrix per arrow"),
+            (S2, (Matrix.zeros(F3, 1, 1),), "cocycle matrix for 'a1' must be 1x1 over Q"),
+            (Representation.simple(build_quiver("A", 1), QQ, 0), (Matrix.zeros(QQ, 1, 1),), "different quivers"),
+        ],
+        ids=["shape", "count", "field", "quiver"],
+    )
+    def test_shape_mismatch(self, target, eta, message):
+        with pytest.raises(MismatchError, match=message):
+            is_coboundary(S1, target, eta)
 
 
 class TestEndAndSchur:

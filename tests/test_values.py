@@ -107,3 +107,20 @@ def test_value_semantics(cls, fields, defaults, uncompared, changed):
 
 def test_catalog_copies_equal():
     assert_copies_equal(all_indecomposables(build_quiver("E", 8), F3))
+
+
+@pytest.mark.parametrize(
+    "from_lists, twin",
+    [
+        (Quiver(["x", "y"], [Arrow("a", 0, 1)], "q"), Q),
+        (Representation(Q, QQ, [1, 1], [ONE]), Representation(Q, QQ, (1, 1), (ONE,))),
+    ],
+    ids=["Quiver", "Representation"],
+)
+def test_built_from_lists_equals_tuple_twin(from_lists, twin):
+    assert from_lists == twin and hash(from_lists) == hash(twin)
+
+
+def test_catalog_of_quiver_built_from_lists():
+    from_lists = Quiver(["1", "2"], [Arrow("a", 0, 1)])
+    assert all_indecomposables(from_lists, QQ) == all_indecomposables(Quiver(("1", "2"), (Arrow("a", 0, 1),)), QQ)
