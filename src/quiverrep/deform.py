@@ -37,9 +37,9 @@ class DualNumberLift(Value):
 
     _fields = ("base", "perturbation")
 
-    def __init__(self, base: Representation, perturbation: tuple[Matrix, ...]):
+    def __init__(self, base: Representation, perturbation: Sequence[Matrix]):
         setfield(self, "base", base)
-        setfield(self, "perturbation", perturbation)
+        setfield(self, "perturbation", tuple(perturbation))
 
 
 class UDRVerdict(Enum):

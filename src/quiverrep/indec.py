@@ -13,15 +13,27 @@ end at one simple root and phase all lie on one thread: the walk up from it.
 A catalog walks each of the n threads up by integer reflections, rebuilds it
 once, up to its last non-simple root at phase 0, and keeps the modules at
 phase 0: one functor call per walk state, and no other module outlives it.
+
+A rebuild carries its module as plain data: the dimension vector, one
+row-major entry tuple per arrow (arrows keep their ids and order in every
+orientation), and the index of its orientation among the n + 1 that the
+reflection pass computes once.  Each step runs one kernel, `_reflect`, that
+rewrites only the space at the reflected vertex v and the blocks of the
+arrows at v, and the rebuild checks only what the step changed: the arrows
+at v leave v before the step and enter it after, and the new dimension at v
+is the walk's.  A validated `Representation` is built only for each module
+a rebuild keeps; `reflect_at_source` runs the same kernel between validated
+representations.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import cycle
+from itertools import chain, cycle
+from typing import Iterable, Sequence
 
 from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError
-from .linalg import Field, Matrix, kernel_basis
+from .linalg import Field, Matrix, _kernel_of_rows
 from .quiver import Arrow, Quiver, classify, tits_form
 from .rep import Representation, is_schur
 from .roots import positive_roots, simple_reflection
@@ -42,10 +54,10 @@ class IndecCatalog(Value):
 
     _fields = ("quiver", "field", "entries")
 
-    def __init__(self, quiver: Quiver, field: Field, entries: tuple[tuple[tuple[int, ...], Representation], ...]):
+    def __init__(self, quiver: Quiver, field: Field, entries: Iterable[tuple[Sequence[int], Representation]]):
         setfield(self, "quiver", quiver)
         setfield(self, "field", field)
-        setfield(self, "entries", entries)
+        setfield(self, "entries", tuple((tuple(r), M) for r, M in entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -66,7 +78,7 @@ def reflect_at_sink(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Repre
     rows of the canonical kernel inclusion."""
     if M.quiver != Q:
         raise ValueError("representation is not over the given quiver")
-    if not Q.is_sink(i):
+    if not (0 <= i < Q.vertex_count and Q.is_sink(i)):
         raise ValueError(f"vertex {i} is not a sink")
     dual = _dual(M)
     _, N = reflect_at_source(dual.quiver, i, dual)
@@ -80,32 +92,39 @@ def reflect_at_source(Q: Quiver, i: int, M: Representation) -> tuple[Quiver, Rep
     the canonical projection onto it."""
     if M.quiver != Q:
         raise ValueError("representation is not over the given quiver")
-    if not Q.is_source(i):
+    if not (0 <= i < Q.vertex_count and Q.is_source(i)):
         raise ValueError(f"vertex {i} is not a source")
-    field = M.field
-    blocks = [f for a, f in zip(Q.arrows, M.maps) if a.source == i]
-    n_i = M.dims[i]
+    dims, maps = _reflect(Q, i, M.field, M.dims, tuple(f.entries for f in M.maps))
+    new_quiver = Q.reverse_arrows_at(i)
+    return new_quiver, _module(new_quiver, M.field, dims, maps)
+
+
+def _reflect(Q: Quiver, v: int, field: Field, dims: tuple[int, ...], maps: tuple[tuple, ...]):
+    """`reflect_at_source` at the source v of Q on plain data: the dimension
+    vector and one row-major tuple of canonical entries per arrow.  Returns
+    the new (dims, maps), in which only dims[v] and the blocks of the arrows
+    leaving v change; the caller checks that v is a source."""
+    arrows, out, n_v = Q.arrows, Q.outgoing[v], dims[v]
+    widths = [dims[arrows[k].target] for k in out]
     # The transpose of the assembled outgoing map: row q holds column q of
     # each outgoing block in turn.
-    flat = [x for q in range(n_i) for b in blocks for x in b.entries[q::n_i]]
-    assembled_t = Matrix(field, n_i, sum(b.rows for b in blocks), flat)
+    blocks = [maps[k] for k in out]
+    rows_ = [[x for b in blocks for x in b[q::n_v]] for q in range(n_v)]
     # Row q of the projection onto the cokernel is e_q - sum_k R[k, q] e_{p_k},
     # R = rref(assembled^T) with pivots p_k: its kernel vector at free column q.
-    proj_rows = kernel_basis(assembled_t)
-    new_dim = len(proj_rows)
-    new_quiver = Q.reverse_arrows_at(i)
-    new_dims = tuple(new_dim if j == i else d for j, d in enumerate(M.dims))
-    new_maps = []
-    off = 0  # where the current outgoing block's columns start in proj_rows
-    for a, f in zip(Q.arrows, M.maps):
-        if a.source == i:
-            tgt_dim = M.dims[a.target]
-            flat = [proj_rows[r][off + c] for r in range(new_dim) for c in range(tgt_dim)]
-            new_maps.append(Matrix(field, new_dim, tgt_dim, flat))
-            off += tgt_dim
-        else:
-            new_maps.append(f)
-    return new_quiver, Representation(new_quiver, field, new_dims, new_maps)
+    proj = _kernel_of_rows(field, rows_, sum(widths))
+    new_maps = list(maps)
+    off = 0  # where the current outgoing block's columns start in proj
+    for k, w in zip(out, widths):
+        new_maps[k] = tuple(chain.from_iterable([row[off : off + w] for row in proj]))
+        off += w
+    return dims[:v] + (len(proj),) + dims[v + 1 :], tuple(new_maps)
+
+
+def _module(Q: Quiver, field: Field, dims: tuple[int, ...], maps: tuple[tuple, ...]) -> Representation:
+    """The validated representation of plain data, as `_reflect` returns it."""
+    mats = (Matrix(field, dims[a.target], dims[a.source], m) for a, m in zip(Q.arrows, maps))
+    return Representation(Q, field, dims, mats)
 
 
 def _reflection_pass(Q: Quiver) -> tuple[list[int], list[Quiver]]:
@@ -168,26 +187,31 @@ def _walk(Q: Quiver, d: tuple[int, ...], vertices: cycle) -> list[tuple[int, ...
         if step == cap:
             raise _fail(Q, dims[0], step, v, "reflection walk did not reach a simple root")
         d = simple_reflection(Q, v, d)
-        if any(c < 0 for c in d):
+        if d[v] < 0:  # the only coordinate s_v changes
             raise _fail(Q, dims[0], step, v, "reflection walk left the positive cone")
         dims.append(d)
 
 
 def _rebuild(Q: Quiver, field: Field, walk: tuple[list[int], list[Quiver]], dims) -> list[Representation]:
     """Rebuild upwards along dims, the states at times 0..t of a walk down to a
-    simple root; returns the modules at times s < t with s = 0 mod n, time 0 last."""
+    simple root; returns the modules at times s < t with s = 0 mod n, time 0 last.
+    The module at time s is plain data over orientations[s mod n]."""
     (order, orientations), n, t = walk, Q.vertex_count, len(dims) - 1
-    M = Representation.simple(orientations[t % n], field, order[t % n])
+    # The simple module: without loops every arrow has a zero space at one end.
+    d = tuple(int(j == order[t % n]) for j in range(n))
+    maps = ((),) * len(Q.arrows)
     kept = []
     for s in reversed(range(t)):
         v = order[s % n]
-        new_q, M = reflect_at_source(orientations[s % n + 1], v, M)
-        if new_q != orientations[s % n]:
+        before, after = orientations[s % n + 1], orientations[s % n]
+        # The arrows at v leave it before the step and enter it after.
+        if before.incoming[v] or after.outgoing[v] or before.outgoing[v] != after.incoming[v]:
             raise _fail(Q, dims[0], s, v, "reflection functor reoriented the quiver incorrectly")
-        if M.dims != dims[s]:
-            raise _fail(Q, dims[0], s, v, f"dimension bookkeeping failed: {M.dims} != {dims[s]}")
+        d, maps = _reflect(before, v, field, d, maps)
+        if d[v] != dims[s][v]:
+            raise _fail(Q, dims[0], s, v, f"dimension bookkeeping failed: {d} != {dims[s]}")
         if s % n == 0:
-            kept.append(M)
+            kept.append(_module(after, field, d, maps))
     return kept
 
 
@@ -219,7 +243,7 @@ def all_indecomposables(Q: Quiver, field: Field) -> IndecCatalog:
     entries.sort(key=lambda e: e[0])
     if [r for r, _ in entries] != list(roots):
         raise InternalInvariantError(f"quiver {Q.name}: the threads do not give one module per positive root")
-    return IndecCatalog(Q, field, tuple(entries))
+    return IndecCatalog(Q, field, entries)
 
 
 def generic_rep_oracle(Q: Quiver, d, field: Field, seed: int = 0) -> Representation:

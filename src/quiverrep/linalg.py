@@ -10,7 +10,10 @@ last pivot, with checked exact divisions and one Fraction per non-integral
 entry at the end.  Prime-field rows use modular elimination with unit
 pivots.  A step updates the rows below the pivot from the pivot column on.
 Pivoting is canonical (first nonzero entry in column order, lowest row
-first), so every basis returned is reproducible bit for bit.
+first), so every basis returned is reproducible bit for bit.  The
+eliminations work on plain row lists: `kernel_basis` is `_kernel_of_rows`
+on a matrix's rows, and the reflection functors call `_kernel_of_rows` on
+rows they assemble without building a `Matrix`.
 
 The `Matrix` constructor is the one place where entries become canonical, in
 one pass per field: ints are reduced mod p, or kept as they are over Q, and
@@ -98,9 +101,6 @@ class Field(Value):
         if x.denominator % p == 0:
             raise ZeroDivisionError(f"denominator {x.denominator} vanishes mod {p}")
         return x.numerator * pow(x.denominator, -1, p) % p
-
-    def neg(self, x):
-        return -x if self.char == 0 else (-x) % self.char
 
     def parse(self, token: str):
         """Parse an element written as `n` or `a/b`."""
@@ -236,7 +236,9 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
     prev = 1
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if rows_[i][c]), None)
+        if r == m:
+            break
+        pr = r if rows_[r][c] else next((i for i in range(r + 1, m) if rows_[i][c]), None)
         if pr is None:
             continue
         if pr != r:
@@ -264,8 +266,6 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
         prev = piv
         pivots.append(c)
         r += 1
-        if r == m:
-            break
     return pivots
 
 
@@ -279,7 +279,9 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int) -> list[int]:
     pivots: list[int] = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if rows_[i][c]), None)
+        if r == m:
+            break
+        pr = r if rows_[r][c] else next((i for i in range(r + 1, m) if rows_[i][c]), None)
         if pr is None:
             continue
         if pr != r:
@@ -296,29 +298,26 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int) -> list[int]:
                 ri[c:] = [(a - f * b) % p for a, b in zip(ri[c:], ptail)]
         pivots.append(c)
         r += 1
-        if r == m:
-            break
     return pivots
 
 
-def _echelon(A: Matrix) -> tuple[list[list[int]], list[int]]:
-    """A's rows after forward elimination (integers over Q), and its pivot columns."""
-    if A.field.is_rational:
-        rows_ = _integer_rows(A.row_lists())
-        return rows_, _bareiss_echelon(rows_, A.rows, A.cols)
-    rows_ = A.row_lists()
-    return rows_, _fp_eliminate(rows_, A.rows, A.cols, A.field.char)
+def _echelon(field: Field, rows_: list[list], n: int) -> list[int]:
+    """Forward elimination in place of the rows of an n-column matrix (made
+    integral first over Q); returns the pivot columns."""
+    if field.is_rational:
+        return _bareiss_echelon(_integer_rows(rows_), len(rows_), n)
+    return _fp_eliminate(rows_, len(rows_), n, field.char)
 
 
-def _back_substitute(A: Matrix, rows_: list[list[int]], pivots: list[int], cols: list[int]) -> list[list]:
-    """Columns `cols` of rref(A), one list per pivot row, from A's echelon rows.
+def _back_substitute(field: Field, rows_: list[list[int]], pivots: list[int], cols: list[int]) -> list[list]:
+    """Columns `cols` of the rref, one list per pivot row, from the echelon rows.
 
     Column j solves U x = u_j, U the echelon rows at the pivot columns.  Over
     Q this solves for y = D x, D the last Bareiss pivot, which is integral by
     Cramer's rule, so each division by a row's pivot is exact (a remainder
     means a corrupt echelon form); over F_p the pivots and D are 1.
     """
-    r, p = len(pivots), A.field.char
+    r, p = len(pivots), field.char
     big_d = rows_[r - 1][pivots[-1]] if r else 1
     ys: list[list[int]] = [[]] * r
     for k in reversed(range(r)):
@@ -335,7 +334,7 @@ def _back_substitute(A: Matrix, rows_: list[list[int]], pivots: list[int], cols:
             qr = [divmod(a, d) for a in acc]
             if any(rem for _, rem in qr):
                 raise InternalInvariantError(
-                    f"back substitution on a {A.rows}x{A.cols} matrix: row {k} is not divisible by its pivot {d}"
+                    f"back substitution on a {len(rows_)}x{len(row)} matrix: row {k} is not divisible by its pivot {d}"
                 )
             acc = [q for q, _ in qr]
         ys[k] = acc
@@ -351,9 +350,10 @@ def _free_columns(n: int, pivots: list[int]) -> list[int]:
 
 def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (unique, hence canonical)."""
-    rows_, pivots = _echelon(A)
+    rows_ = A.row_lists()
+    pivots = _echelon(A.field, rows_, A.cols)
     free = _free_columns(A.cols, pivots)
-    vals = _back_substitute(A, rows_, pivots, free)
+    vals = _back_substitute(A.field, rows_, pivots, free)
     field, n = A.field, A.cols
     flat = [0] * (A.rows * n)
     for k, pc in enumerate(pivots):
@@ -365,21 +365,27 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(A: Matrix) -> int:
     """Exact rank via forward elimination only."""
-    return len(_echelon(A)[1])
+    return len(_echelon(A.field, A.row_lists(), A.cols))
 
 
 def kernel_basis(A: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel {x : Ax = 0}, one vector per free column."""
-    rows_, pivots = _echelon(A)
-    free = _free_columns(A.cols, pivots)
-    vals = _back_substitute(A, rows_, pivots, free)
-    field = A.field
+    return _kernel_of_rows(A.field, A.row_lists(), A.cols)
+
+
+def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
+    """`kernel_basis` of the n-column matrix with rows `rows_`, whose entries
+    are canonical elements of field; the rows are eliminated in place."""
+    pivots = _echelon(field, rows_, n)
+    free = _free_columns(n, pivots)
+    vals = _back_substitute(field, rows_, pivots, free)
+    p = field.char
     basis = []
     for t, j in enumerate(free):
-        v = [0] * A.cols
+        v = [0] * n
         v[j] = 1
-        for k, pc in enumerate(pivots):
-            v[pc] = field.neg(vals[k][t])
+        for pc, row in zip(pivots, vals):
+            v[pc] = (-row[t]) % p if p else -row[t]
         basis.append(tuple(v))
     return basis
 
@@ -390,7 +396,7 @@ def cokernel_basis(A: Matrix) -> list[tuple]:
     Coordinates are pivots of the column space (forward pass on the transpose);
     the remaining standard basis vectors descend to a basis of the cokernel.
     """
-    free = _free_columns(A.rows, _echelon(A.transpose())[1])
+    free = _free_columns(A.rows, _echelon(A.field, A.transpose().row_lists(), A.rows))
     return [tuple(int(t == i) for t in range(A.rows)) for i in free]
 
 
@@ -403,11 +409,12 @@ def solve(A: Matrix, b: Sequence):
         flat.extend(A.row(i))
         flat.append(bi)
     aug = Matrix(A.field, A.rows, A.cols + 1, flat)
-    rows_, pivots = _echelon(aug)
+    rows_ = aug.row_lists()
+    pivots = _echelon(aug.field, rows_, aug.cols)
     if A.cols in pivots:
         return None
     x = [0] * A.cols
-    for pc, (val,) in zip(pivots, _back_substitute(aug, rows_, pivots, [A.cols])):
+    for pc, (val,) in zip(pivots, _back_substitute(aug.field, rows_, pivots, [A.cols])):
         x[pc] = val
     return tuple(x)
 

@@ -3,9 +3,9 @@
 A quiver is a finite directed multigraph; loops and parallel arrows are
 accepted structurally and rejected only by classification, where the
 mathematics (the Tits form) does the rejecting.  Each quiver computes its
-symmetrized Tits matrix and neighbour lists at most once, on first use, and
-holds them itself; nothing here is memoized at module level, so a quiver
-lives no longer than its callers keep it.
+symmetrized Tits matrix, neighbour lists and per-vertex arrow lists at most
+once, on first use, and holds them itself; nothing here is memoized at
+module level, so a quiver lives no longer than its callers keep it.
 
 `Arrow`, `Quiver`, `DynkinType` and `Classification` are plain immutable
 value classes (see `value`), not dataclasses, so loading this module runs no
@@ -127,6 +127,23 @@ class Quiver(Value):
             for i, row in enumerate(self.tits_matrix)
         )
 
+    @cached_property
+    def outgoing(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the indices of the arrows leaving it, in arrow order."""
+        return _arrows_by_vertex(self.vertex_count, [a.source for a in self.arrows])
+
+    @cached_property
+    def incoming(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the indices of the arrows entering it, in arrow order."""
+        return _arrows_by_vertex(self.vertex_count, [a.target for a in self.arrows])
+
+
+def _arrows_by_vertex(n: int, ends: list[int]) -> tuple[tuple[int, ...], ...]:
+    at = [[] for _ in range(n)]
+    for k, v in enumerate(ends):
+        at[v].append(k)
+    return tuple(map(tuple, at))
+
 
 class DynkinType(Value):
     _fields = ("letter", "rank")
@@ -142,9 +159,9 @@ class DynkinType(Value):
 class Classification(Value):
     _fields = ("finite", "components", "witness")
 
-    def __init__(self, finite: bool, components: tuple[DynkinType, ...] = (), witness: str | None = None):
+    def __init__(self, finite: bool, components: Sequence[DynkinType] = (), witness: str | None = None):
         setfield(self, "finite", finite)
-        setfield(self, "components", components)
+        setfield(self, "components", tuple(components))
         setfield(self, "witness", witness)
 
 
@@ -277,5 +294,5 @@ def classify(Q: Quiver) -> Classification:
             "Dynkin shape recognition disagrees with Sylvester positivity"
         )
     if finite_by_shape:
-        return Classification(finite=True, components=tuple(results))
+        return Classification(finite=True, components=results)
     return Classification(finite=False, witness=rejections[0])

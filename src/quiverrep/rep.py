@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import MismatchError
 from .linalg import Field, Matrix, kernel_basis, cokernel_basis, rank, solve
@@ -111,10 +111,10 @@ class MorphismSpace(Value):
 
     _fields = ("source", "target", "basis")
 
-    def __init__(self, source: Representation, target: Representation, basis: tuple[tuple[Matrix, ...], ...]):
+    def __init__(self, source: Representation, target: Representation, basis: Iterable[Sequence[Matrix]]):
         setfield(self, "source", source)
         setfield(self, "target", target)
-        setfield(self, "basis", basis)
+        setfield(self, "basis", tuple(map(tuple, basis)))
 
     @property
     def dimension(self) -> int:
@@ -126,10 +126,10 @@ class ExtSpace(Value):
 
     _fields = ("source", "target", "cocycles")
 
-    def __init__(self, source: Representation, target: Representation, cocycles: tuple[tuple[Matrix, ...], ...]):
+    def __init__(self, source: Representation, target: Representation, cocycles: Iterable[Sequence[Matrix]]):
         setfield(self, "source", source)
         setfield(self, "target", target)
-        setfield(self, "cocycles", cocycles)
+        setfield(self, "cocycles", tuple(map(tuple, cocycles)))
 
     @property
     def dimension(self) -> int:
@@ -200,16 +200,14 @@ def hom_space(M: Representation, N: Representation) -> MorphismSpace:
     """Canonical basis of the space of quiver morphisms M -> N."""
     phi = commutation_map(M, N)
     (vblocks, _), _ = _blocks(M, N)
-    basis = tuple(_split(v, vblocks, M.field) for v in kernel_basis(phi))
-    return MorphismSpace(M, N, basis)
+    return MorphismSpace(M, N, (_split(v, vblocks, M.field) for v in kernel_basis(phi)))
 
 
 def ext1_space(M: Representation, N: Representation) -> ExtSpace:
     """Cocycle representatives of Ext^1(M, N) as a cokernel of the commutation map."""
     phi = commutation_map(M, N)
     _, (ablocks, _) = _blocks(M, N)
-    cocycles = tuple(_split(v, ablocks, M.field) for v in cokernel_basis(phi))
-    return ExtSpace(M, N, cocycles)
+    return ExtSpace(M, N, (_split(v, ablocks, M.field) for v in cokernel_basis(phi)))
 
 
 def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:

@@ -12,7 +12,7 @@ quiver classifies as finite.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InfiniteTypeError
 from .quiver import Quiver, classify
@@ -24,9 +24,9 @@ __all__ = ["RootSet", "simple_reflection", "positive_roots"]
 class RootSet(Value):
     _fields = ("quiver", "roots")
 
-    def __init__(self, quiver: Quiver, roots: tuple[tuple[int, ...], ...]):
+    def __init__(self, quiver: Quiver, roots: Iterable[Sequence[int]]):
         setfield(self, "quiver", quiver)
-        setfield(self, "roots", roots)
+        setfield(self, "roots", tuple(map(tuple, roots)))
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -72,4 +72,4 @@ def positive_roots(Q: Quiver) -> RootSet:
                         seen.add(r)
                         higher.append(r)
         frontier = higher
-    return RootSet(Q, tuple(sorted(seen)))
+    return RootSet(Q, sorted(seen))

@@ -22,7 +22,7 @@ from quiverrep.indec import (
     reflect_at_source,
 )
 from quiverrep.linalg import Field, Matrix, QQ
-from quiverrep.quiver import classify
+from quiverrep.quiver import Quiver, classify
 from quiverrep.rep import Representation, hom_ext_dims, is_isomorphic, is_schur
 from quiverrep.roots import positive_roots, simple_reflection
 
@@ -115,6 +115,14 @@ class TestReflectAtSource:
     def test_requires_source(self):
         with pytest.raises(ValueError):
             reflect_at_source(A2, 1, P1)
+
+    @pytest.mark.parametrize(
+        "functor, i", [(reflect_at_source, -2), (reflect_at_source, 2), (reflect_at_sink, -1), (reflect_at_sink, 5)]
+    )
+    def test_requires_a_vertex_of_the_quiver(self, functor, i):
+        """A negative index would otherwise reflect some other vertex."""
+        with pytest.raises(ValueError, match=f"vertex {i} is not a s"):
+            functor(A2, i, P1)
 
 
 class TestConstructIndecomposable:
@@ -221,15 +229,33 @@ class TestSharedWalks:
     )
     def test_one_functor_call_per_walk_state(self, monkeypatch, filename, calls):
         count = Counter()
-        original = indec.reflect_at_source
+        original = indec._reflect
 
-        def counted(Q, i, M):
+        def counted(*args):
             count["calls"] += 1
-            return original(Q, i, M)
+            return original(*args)
 
-        monkeypatch.setattr(indec, "reflect_at_source", counted)
+        monkeypatch.setattr(indec, "_reflect", counted)
         all_indecomposables(shipped_quiver(filename), F2)
         assert count["calls"] == calls
+
+    @pytest.mark.parametrize("filename", ["e8_linear.quiver", "e8_alternating.quiver", "e8_sinkheavy.quiver"])
+    def test_catalog_validates_only_the_modules_it_keeps(self, monkeypatch, filename):
+        """Threads carry plain data: a build constructs a Representation only
+        for the simples and the modules it keeps, at most |roots| + n = 128 on
+        E8, and a Quiver only for the reflection pass, at most n + 1 = 9."""
+        q = shipped_quiver(filename)
+        count = Counter()
+        for cls in (Representation, Quiver):
+
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                count[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert len(all_indecomposables(q, F2)) == 120
+        assert count["Representation"] <= 128
+        assert count["Quiver"] <= 9
 
     def test_build_peak_stays_near_the_catalog_size(self):
         """No module outlives its thread unless the catalog keeps it: the
@@ -250,34 +276,29 @@ class TestSharedWalks:
 class TestProjectionOracle:
     @pytest.mark.parametrize("filename", SHIPPED_FINITE)
     def test_reflect_at_source_matches_column_space_projection(self, monkeypatch, filename):
-        """Every functor input of the Q, F2 and F3 catalogs, against the
+        """Every functor step of the Q, F2 and F3 catalogs, against the
         projection built from the pivots of rref(A^T) by plain Gauss-Jordan."""
         calls = []
-        original = indec.reflect_at_source
+        original = indec._reflect
 
-        def recorded(Q, i, M):
-            out = original(Q, i, M)
-            calls.append((Q, i, M, out))
+        def recorded(Q, i, field, dims, maps):
+            out = original(Q, i, field, dims, maps)
+            calls.append((Q, i, field, dims, maps, out))
             return out
 
-        monkeypatch.setattr(indec, "reflect_at_source", recorded)
+        monkeypatch.setattr(indec, "_reflect", recorded)
         q = shipped_quiver(filename)
         for field in (QQ, F2, Field(3)):
             all_indecomposables(q, field)
         assert calls or q.vertex_count == 1
-        for Q, i, M, (new_q, got) in calls:
-            want = reflect_at_source_by_projection(Q, i, M)
-            assert new_q == want.quiver and got == want, (Q.name, i, M.dims)
+        for Q, i, field, dims, maps, (new_dims, new_maps) in calls:
+            mats = [Matrix(field, dims[a.target], dims[a.source], m) for a, m in zip(Q.arrows, maps)]
+            want = reflect_at_source_by_projection(Q, i, Representation(Q, field, dims, mats))
+            assert (new_dims, new_maps) == (want.dims, tuple(f.entries for f in want.maps)), (Q.name, i, dims)
 
 
 def _patch_wrong_dims(monkeypatch):
-    original = indec.reflect_at_source
-
-    def wrong_dims(Q, i, M):
-        q, _ = original(Q, i, M)
-        return q, Representation.zero(q, M.field)
-
-    monkeypatch.setattr(indec, "reflect_at_source", wrong_dims)
+    monkeypatch.setattr(indec, "_reflect", lambda Q, i, field, dims, maps: ((0,) * len(dims), ((),) * len(maps)))
 
 
 class TestInvariantMessages:
@@ -323,6 +344,45 @@ class TestInvariantMessages:
             "quiver A3_linear, root (1,1,1), walk step 45, vertex 3: "
             "reflection walk did not reach a simple root"
         )
+
+    def test_walk_positivity_names_the_site(self, monkeypatch):
+        """A reflection that takes d[v] below zero stops the walk at that step."""
+        monkeypatch.setattr(
+            indec, "simple_reflection", lambda Q, i, d: tuple(-1 if j == i else c for j, c in enumerate(d))
+        )
+        expected = (
+            "quiver A3_linear, root (1,1,1), walk step 0, vertex 3: "
+            "reflection walk left the positive cone"
+        )
+        with pytest.raises(InternalInvariantError) as exc:
+            construct_indecomposable(shipped_quiver("a3_linear.quiver"), (1, 1, 1), QQ)
+        assert str(exc.value) == expected
+        code, out, err = run_cli(
+            ["verify-udr", str(SHIPPED / "a3_linear.quiver"), "--field", "Q", "--dim", "1,1,1"]
+        )
+        assert (code, out, err) == (5, "", f"error: {expected}\n")
+
+    def test_reorientation_failure_names_the_site(self, monkeypatch):
+        """An orientation list whose first quiver still has the arrows at the
+        first vertex of the pass flipped fails at the first phase-0 step."""
+        original = indec._reflection_pass
+
+        def unflipped(Q):
+            order, orientations = original(Q)
+            return order, [orientations[1], *orientations[1:]]
+
+        monkeypatch.setattr(indec, "_reflection_pass", unflipped)
+        expected = (
+            "quiver A3_linear, root (1,1,1), walk step 0, vertex 3: "
+            "reflection functor reoriented the quiver incorrectly"
+        )
+        with pytest.raises(InternalInvariantError) as exc:
+            construct_indecomposable(shipped_quiver("a3_linear.quiver"), (1, 1, 1), QQ)
+        assert str(exc.value) == expected
+        code, out, err = run_cli(
+            ["verify-udr", str(SHIPPED / "a3_linear.quiver"), "--field", "Q", "--dim", "1,1,1"]
+        )
+        assert (code, out, err) == (5, "", f"error: {expected}\n")
 
     def test_one_module_per_root(self, monkeypatch):
         q = shipped_quiver("a3_linear.quiver")

@@ -344,12 +344,10 @@ def test_rational_elimination_matches_textbook_gauss_jordan(data, rhs):
 def test_back_substitution_rejects_a_corrupt_echelon_form():
     # A 2x3 echelon form with pivots 2 and 3 (so D = 3) whose entry (0, 1)
     # was zeroed: row 0 then needs 3 * 1 - 0 * 1 = 3 divided by its pivot 2.
-    # The matrix argument only supplies the field and the shape.
-    shape = Matrix.zeros(QQ, 2, 3)
     with pytest.raises(InternalInvariantError, match=r"2x3 matrix: row 0 is not divisible by its pivot 2"):
-        _back_substitute(shape, [[2, 0, 1], [0, 3, 1]], [0, 1], [2])
+        _back_substitute(QQ, [[2, 0, 1], [0, 3, 1]], [0, 1], [2])
     # uncorrupted, column 2 of the reduced form is (1/3, 1/3)
-    assert _back_substitute(shape, [[2, 1, 1], [0, 3, 1]], [0, 1], [2]) == [[Fraction(1, 3)], [Fraction(1, 3)]]
+    assert _back_substitute(QQ, [[2, 1, 1], [0, 3, 1]], [0, 1], [2]) == [[Fraction(1, 3)], [Fraction(1, 3)]]
 
 
 def test_rational_rank_and_rref_construct_no_intermediate_fractions(monkeypatch):

@@ -114,8 +114,23 @@ def test_catalog_copies_equal():
     [
         (Quiver(["x", "y"], [Arrow("a", 0, 1)], "q"), Q),
         (Representation(Q, QQ, [1, 1], [ONE]), Representation(Q, QQ, (1, 1), (ONE,))),
+        (Classification(True, [DynkinType("A", 2)]), Classification(True, (DynkinType("A", 2),))),
+        (RootSet(Q, [[1, 0], [1, 1]]), RootSet(Q, ((1, 0), (1, 1)))),
+        (MorphismSpace(M, M, [[ONE, Matrix.zeros(QQ, 0, 0)]]), MorphismSpace(M, M, ((ONE, Matrix.zeros(QQ, 0, 0)),))),
+        (ExtSpace(M, N, [[ONE]]), ExtSpace(M, N, ((ONE,),))),
+        (IndecCatalog(Q, QQ, [[[1, 0], M]]), IndecCatalog(Q, QQ, (((1, 0), M),))),
+        (DualNumberLift(M, [Matrix.zeros(QQ, 0, 1)]), DualNumberLift(M, (Matrix.zeros(QQ, 0, 1),))),
     ],
-    ids=["Quiver", "Representation"],
+    ids=[
+        "Quiver",
+        "Representation",
+        "Classification",
+        "RootSet",
+        "MorphismSpace",
+        "ExtSpace",
+        "IndecCatalog",
+        "DualNumberLift",
+    ],
 )
 def test_built_from_lists_equals_tuple_twin(from_lists, twin):
     assert from_lists == twin and hash(from_lists) == hash(twin)
