@@ -24,13 +24,17 @@ rows, so its entry count grows as the square of the quiver's size (20224 x
 20480, about 9 GB, for two A80 files of dim 16 everywhere).  `ext`
 therefore calls check_pair_size, which refuses a pair whose map would have
 more than MAX_MAP_ENTRIES = 2**22 entries, on the two dimension vectors
-before anything is assembled.  The map is a dense list of entries, and on a
-2-core VM under Python 3.11 `ext` peaked at about 23 bytes per entry plus a
-15 MB base (102 MB for the 1900 x 2000 map of two A20 files of dim 10), so
-the bound keeps its memory near the 113 MB of the largest catalog that
-MAX_VERTICES admits.  It bounds memory, not time: over Q with random
-entries in [-3, 3] the 1216 x 1280 map of two A20 files of dim 8 took 63 s
-to 79 s on that VM, from Bareiss coefficient growth.  Every pair of
+before anything is assembled.  `ext` needs only the map's rank: the rank
+engine holds it as sparse rows and turns them into dense lists only for a
+residual that has filled up, and never holds more than 2**17 sparse entries,
+so at the bound its memory stays near the dense map's, about 23 bytes per
+entry plus a 15 MB base, which keeps it near the 113 MB of the largest
+catalog that MAX_VERTICES admits.  Two A20 files of dim 10 (a 1900 x 2000
+map) peaked at 20-24 MB over F101 and over Q on a 2-core VM under
+Python 3.11, against 102 MB for the dense map.  The bound is on memory, not
+time, but time now follows the map's sparsity: over Q with random entries
+in [-3, 3], the 1216 x 1280 map of two A20 files of dim 8 took 63 s to 79 s
+when Bareiss ran on it whole, and `ext` now takes 0.3 s.  Every pair of
 indecomposables on an accepted quiver passes with room to spare: every
 positive root lies below the highest root, so the largest such map is that
 of the D80 highest root with itself, 310 x 311.  A field token F<p>
@@ -40,8 +44,8 @@ a longer token would otherwise run unbounded or overflow `int()`'s digit
 limit.  A quiver may have at most MAX_VERTICES = 80 vertices, checked on
 the vertices line before the quiver is built.  D_n is the worst case, with
 n(n-1) positive roots and a catalog of that many modules: on a 2-core VM
-under Python 3.11, `verify-udr --field Q` of a linear D80 took 45 s with a
-peak RSS of 113 MB, while `roots` took 0.85 s on D80 and 0.46 s on A80.
+under Python 3.11, `verify-udr --field Q` of a linear D80 took 21 s with a
+peak RSS of 84 MB, while `roots` took 0.85 s on D80 and 0.46 s on A80.
 Reports are rendered with sorted keys and a fixed layout so equal inputs
 give equal bytes.
 """

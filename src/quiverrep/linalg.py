@@ -1,19 +1,29 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Every routine runs one forward elimination, then back-substitutes only the
-columns it needs: none for `rank` and `cokernel_basis`, the free columns for
-`kernel_basis` and `rref`, the right-hand side for `solve`.  Rational rows
-are scaled to integers by the lcm of their denominators and reduced by
-fraction-free (Bareiss) elimination with positive pivots, so entries stay
-bounded by minors of the input; the back substitution solves for D*x, D the
-last pivot, with checked exact divisions and one Fraction per non-integral
-entry at the end.  Prime-field rows use modular elimination with unit
-pivots.  A step updates the rows below the pivot from the pivot column on.
-Pivoting is canonical (first nonzero entry in column order, lowest row
-first), so every basis returned is reproducible bit for bit.  The
-eliminations work on plain row lists: `kernel_basis` is `_kernel_of_rows`
-on a matrix's rows, and the reflection functors call `_kernel_of_rows` on
-rows they assemble without building a `Matrix`.
+Routines that return a basis or a solution run one canonical forward
+elimination, then back-substitute only the columns they need: none for
+`cokernel_basis`, the free columns for `kernel_basis` and `rref`, the
+right-hand side for `solve`.  Rational rows are scaled to integers by the
+lcm of their denominators and reduced by fraction-free (Bareiss) elimination
+with positive pivots, so entries stay bounded by minors of the input; the
+back substitution solves for D*x, D the last pivot, with checked exact
+divisions and one Fraction per non-integral entry at the end.  Prime-field
+rows use modular elimination with unit pivots.  A step updates the rows
+below the pivot from the pivot column on.  Pivoting is canonical (first
+nonzero entry in column order, lowest row first), so every basis returned is
+reproducible bit for bit.  The eliminations work on plain row lists:
+`kernel_basis` is `_kernel_of_rows` on a matrix's rows, and the reflection
+functors call `_kernel_of_rows` on rows they assemble without building a
+`Matrix`.
+
+A rank does not depend on pivot order, so questions that need only a rank go
+to one rank engine, `_rank_of`, on sparse rows {column: entry}: `rank`, the
+empty cases of `kernel_basis` (full column rank) and `cokernel_basis` (full
+row rank), and, in `rep`, `hom_ext_dims` and `is_coboundary`.  It
+eliminates sparsely on unit pivots, hands dense residual rows to the dense
+kernels, and over Q takes the rank modulo one word-size prime, running
+Bareiss only when that rank falls short of what the caller knows the rank
+can be.  The answers are exact and the same as the canonical elimination's.
 
 The `Matrix` constructor is the one place where entries become canonical, in
 one pass per field: ints are reduced mod p, or kept as they are over Q, and
@@ -26,6 +36,7 @@ equality, hashing and copying come from `value.Value`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Sequence
 
@@ -309,6 +320,150 @@ def _echelon(field: Field, rows_: list[list], n: int) -> list[int]:
     return _fp_eliminate(rows_, len(rows_), n, field.char)
 
 
+# --- rank engine --------------------------------------------------------
+
+# The residual prime over Q: below 2**15, so a product of two residues stays
+# below 2**30, one CPython digit.
+_RESIDUE_PRIME = 32749
+
+# The sparse phase hands over to the dense kernels once the live rows hold
+# more than _DENSE_SHARE of the live rows x live columns block, past which a
+# dict row update is slower than a list one, or more than _SPARSE_CAP
+# entries.  An entry of a dict row and its column set costs about ten times
+# a list slot, so the cap keeps a large map's peak near its dense size.
+_DENSE_SHARE = 0.75
+_SPARSE_CAP = 2**17
+
+
+def _unit_phase(rows: list[dict], p: int, bound: int) -> tuple[int, list[dict], list[int]]:
+    """Sparse elimination with unit pivots in place; returns (pivot count,
+    residual rows, residual columns).
+
+    Each row is {column: nonzero entry}, integers over Q and residues mod p
+    over F_p.  A pivot is a unit: +-1 over Z (so a step never divides and is
+    exact over Q and mod every prime), any nonzero mod p.  Columns are taken
+    in order, as `_fp_eliminate` takes them, so the residual keeps the
+    input's band; each pivots on its shortest live row with a unit there,
+    ties going to the lower index, and a column with none is left to the
+    residual.  The phase stops when the live rows get dense (see
+    _DENSE_SHARE) or when the pivots reach `bound`, an upper bound on the
+    rank.  The rank is the pivot count plus the rank of the residual rows.
+    """
+    colrows: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            colrows.setdefault(c, set()).add(i)
+    live = {i for i, r in enumerate(rows) if r}
+    nnz = sum(map(len, rows))
+    # Over Z the dense kernel is Bareiss, slower than a unit step at any density.
+    share = _DENSE_SHARE if p else 1
+    done = 0
+    for pc in sorted(colrows):
+        if done == bound or nnz > min(share * len(live) * len(colrows), _SPARSE_CAP):
+            break
+        targets = colrows.get(pc, ())
+        units = targets if p else [i for i in targets if rows[i][pc] in (1, -1)]
+        if not units:
+            continue
+        i = min(units, key=lambda i: (len(rows[i]), i))
+        row, rows[i] = rows[i], None
+        live.discard(i)
+        nnz -= len(row)
+        for c in row:
+            colrows[c].discard(i)
+        piv = row.pop(pc)
+        if piv != 1:
+            inv = pow(piv, -1, p) if p else piv
+            row = {c: x * inv % p if p else -x for c, x in row.items()}
+        items = row.items()
+        for j in colrows.pop(pc):
+            rj = rows[j]
+            before = len(rj)
+            nf = -rj.pop(pc)
+            for c, x in items:
+                y = rj.get(c)
+                if y is None:
+                    rj[c] = nf * x % p if p else nf * x
+                    colrows[c].add(j)
+                else:
+                    y = (y + nf * x) % p if p else y + nf * x
+                    if y:
+                        rj[c] = y
+                    else:
+                        del rj[c]
+                        colrows[c].discard(j)
+            nnz += len(rj) - before
+            if not rj:
+                live.discard(j)
+        for c in row:
+            if not colrows[c]:
+                del colrows[c]
+        done += 1
+    return done, [rows[i] for i in sorted(live)], sorted(colrows)
+
+
+def _dense(rows: list[dict], cols: list[int]) -> list[list]:
+    """The rows as lists over the given columns; each dict is emptied once
+    copied, so the two forms are never both held in full."""
+    at = {c: k for k, c in enumerate(cols)}
+    out = []
+    for r in rows:
+        d = [0] * len(cols)
+        for c, x in r.items():
+            d[at[c]] = x
+        r.clear()
+        out.append(d)
+    return out
+
+
+def _integer_dict_rows(rows: list[dict]) -> list[dict]:
+    """`_integer_rows` for rows {column: rational}."""
+    for r in rows:
+        if Fraction in map(type, r.values()):
+            mult = lcm(*(x.denominator for x in r.values()))
+            for c, x in r.items():
+                r[c] = x.numerator * (mult // x.denominator)
+    return rows
+
+
+def _fp_rank(rows: list[dict], p: int, bound: int) -> int:
+    """Rank mod p of sparse rows of residues, at most `bound`; the rows are consumed."""
+    done, rest, cols = _unit_phase(rows, p, bound)
+    if done >= bound or not rest:
+        return done
+    return done + len(_fp_eliminate(_dense(rest, cols), len(rest), len(cols), p))
+
+
+def _rank_of(field: Field, rows: list[dict], bound: int, exact: bool = True) -> int:
+    """Rank of the matrix with sparse rows {column: canonical entry}, at most
+    `bound`, an upper bound the caller knows; the rows are consumed.
+
+    Over F_p this is `_fp_rank`.  Over Q the rows are made integral, and
+    their rank mod _RESIDUE_PRIME, a lower bound on the rational rank, is
+    the rank when it reaches `bound`.  Otherwise the unit pivots over Z are
+    taken and Bareiss on their residual gives the rest.  With exact=False
+    that fallback is skipped and the result is a lower bound on the rank,
+    which reaches `bound` only when the rank does.
+    """
+    p = field.char
+    if p:
+        return _fp_rank(rows, p, bound)
+    q = _RESIDUE_PRIME
+    r = _fp_rank([{c: x % q for c, x in row.items() if x % q} for row in _integer_dict_rows(rows)], q, bound)
+    if r == bound or not exact:
+        return r
+    done, rest, cols = _unit_phase(rows, 0, bound)
+    if done == bound:
+        return done
+    return done + len(_bareiss_echelon(_dense(rest, cols), len(rest), len(cols)))
+
+
+def _sparse_rows(A: "Matrix") -> list[dict]:
+    """A's rows as {column: nonzero entry}."""
+    n, ents, cols = A.cols, A.entries, range(A.cols)
+    return [dict(compress(zip(cols, r), r)) for r in (ents[i * n : (i + 1) * n] for i in range(A.rows))]
+
+
 def _back_substitute(field: Field, rows_: list[list[int]], pivots: list[int], cols: list[int]) -> list[list]:
     """Columns `cols` of the rref, one list per pivot row, from the echelon rows.
 
@@ -364,12 +519,14 @@ def rref(A: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(A: Matrix) -> int:
-    """Exact rank via forward elimination only."""
-    return len(_echelon(A.field, A.row_lists(), A.cols))
+    """Exact rank, by the rank engine `_rank_of`."""
+    return _rank_of(A.field, _sparse_rows(A), min(A.rows, A.cols))
 
 
 def kernel_basis(A: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel {x : Ax = 0}, one vector per free column."""
+    if A.cols <= A.rows and _rank_of(A.field, _sparse_rows(A), A.cols, exact=False) == A.cols:
+        return []
     return _kernel_of_rows(A.field, A.row_lists(), A.cols)
 
 
@@ -396,6 +553,8 @@ def cokernel_basis(A: Matrix) -> list[tuple]:
     Coordinates are pivots of the column space (forward pass on the transpose);
     the remaining standard basis vectors descend to a basis of the cokernel.
     """
+    if A.rows <= A.cols and _rank_of(A.field, _sparse_rows(A), A.rows, exact=False) == A.rows:
+        return []
     free = _free_columns(A.rows, _echelon(A.field, A.transpose().row_lists(), A.rows))
     return [tuple(int(t == i) for t in range(A.rows)) for i in free]
 

@@ -11,10 +11,13 @@ within each block; codomain coordinates run over arrows in declaration
 order, row-major within each block.  The sign convention (g u - u f) is
 shared with the deformation module.
 
-Phi is assembled row by row in codomain order: each entry is a copied entry
-of g_a or a negated entry of f_a, placed at its domain coordinate.  The two
-terms land on the same entry only for a loop (source(a) == target(a)), and
-only there are entries added.
+Phi is assembled once, as sparse rows in codomain order: each entry is a
+copied entry of g_a or a negated entry of f_a, placed at its domain
+coordinate.  The two terms land on the same entry only for a loop
+(source(a) == target(a)), and only there are entries added.  Questions that
+need only a rank (`hom_ext_dims`, and `is_coboundary` when Phi is onto) hand
+those rows to the linalg rank engine; `commutation_map` fills a dense
+`Matrix` from the same rows for the routines that need a canonical basis.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 import itertools
 import random
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import MismatchError
-from .linalg import Field, Matrix, kernel_basis, cokernel_basis, rank, solve
+from .linalg import Field, Matrix, _rank_of, kernel_basis, cokernel_basis, rank, solve
 from .quiver import Quiver
 from .value import Value, setfield
 
@@ -164,36 +168,53 @@ def _split(vec: Sequence, blocks: list[tuple[int, int, int]], field: Field) -> t
     return tuple(Matrix(field, rows, cols, vec[off : off + rows * cols]) for off, rows, cols in blocks)
 
 
-def commutation_map(M: Representation, N: Representation) -> Matrix:
-    """Matrix of Phi(u)_a = g_a u_source(a) - u_target(a) f_a in the documented coordinates.
+def _phi_rows(M: Representation, N: Representation) -> tuple[list[dict], int]:
+    """Phi's rows in codomain order, each {domain coordinate: nonzero entry},
+    and the domain size.
 
     Row (t, j) of arrow a's block holds row t of g_a at the entries u_source(a)[c, j]
     and minus column j of f_a at the entries u_target(a)[t, c]; the two sets meet
-    only when a is a loop, where they are added.
+    only when a is a loop, where they are added.  Entries are canonical.
     """
     _check_compatible(M, N)
-    (vblocks, dom), (_, cod) = _blocks(M, N)
+    (vblocks, dom), _ = _blocks(M, N)
     voffs = [off for off, _, _ in vblocks]
-    flat = [0] * (cod * dom)
-    row = 0
+    p = M.field.char
+    rows = []
     for a, f, g in zip(M.quiver.arrows, M.maps, N.maps):
         ms, mt = M.dims[a.source], M.dims[a.target]
+        src, tgt = voffs[a.source], voffs[a.target]
         span = N.dims[a.source] * ms
-        # over F_p the negated entries are reduced by the Matrix constructor
-        neg_cols = [[-x for x in f.entries[j::ms]] for j in range(ms)]
+        neg_cols = [[(-x) % p if p else -x for x in f.entries[j::ms]] for j in range(ms)]
         for t in range(g.rows):
             g_row = g.row(t)
+            lo = tgt + t * mt
             for j, neg_col in enumerate(neg_cols):
-                start = row + voffs[a.source] + j
-                flat[start : start + span : ms] = g_row
-                lo = row + voffs[a.target] + t * mt
-                if a.source == a.target:
-                    for c, x in enumerate(neg_col, lo):
-                        flat[c] += x
+                # zip(...) pairs each coordinate with its entry; compress keeps the nonzero ones
+                row = dict(compress(zip(range(src + j, src + j + span, ms), g_row), g_row))
+                if a.source != a.target:
+                    row.update(compress(zip(range(lo, lo + mt), neg_col), neg_col))
                 else:
-                    flat[lo : lo + mt] = neg_col
-                row += dom
-    return Matrix(M.field, cod, dom, flat)
+                    for c, x in compress(zip(range(lo, lo + mt), neg_col), neg_col):
+                        y = row.get(c, 0) + x
+                        y = y % p if p else y
+                        if y:
+                            row[c] = y
+                        else:
+                            del row[c]
+                rows.append(row)
+    return rows, dom
+
+
+def commutation_map(M: Representation, N: Representation) -> Matrix:
+    """Matrix of Phi(u)_a = g_a u_source(a) - u_target(a) f_a in the documented coordinates."""
+    rows, dom = _phi_rows(M, N)
+    flat = [0] * (len(rows) * dom)
+    for i, row in enumerate(rows):
+        base = i * dom
+        for c, x in row.items():
+            flat[base + c] = x
+    return Matrix(M.field, len(rows), dom, flat)
 
 
 def hom_space(M: Representation, N: Representation) -> MorphismSpace:
@@ -211,10 +232,14 @@ def ext1_space(M: Representation, N: Representation) -> ExtSpace:
 
 
 def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:
-    """(dim Hom, dim Ext^1) from a single rank computation."""
-    phi = commutation_map(M, N)
-    r = rank(phi)
-    return phi.cols - r, phi.rows - r
+    """(dim Hom, dim Ext^1) from a single rank computation.
+
+    For M == N the identity lies in the kernel, so the rank is below dom.
+    """
+    rows, dom = _phi_rows(M, N)
+    cod = len(rows)
+    r = _rank_of(M.field, rows, min(cod, dom - 1 if dom and M == N else dom))
+    return dom - r, cod - r
 
 
 def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -> bool:
@@ -226,6 +251,10 @@ def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -
     for a, (_, rows, cols), m in zip(M.quiver.arrows, ablocks, eta):
         if m.rows != rows or m.cols != cols or m.field != M.field:
             raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
+    phi_rows, dom = _phi_rows(M, N)
+    cod = len(phi_rows)
+    if cod <= dom and _rank_of(M.field, phi_rows, cod, exact=False) == cod:
+        return True
     vec = [x for m in eta for x in m.entries]
     return solve(commutation_map(M, N), vec) is not None
 

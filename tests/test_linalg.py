@@ -8,9 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quiverrep.linalg as linalg
 from quiverrep.errors import InternalInvariantError
 from quiverrep.linalg import (
+    _RESIDUE_PRIME,
     _back_substitute,
+    _echelon,
+    _rank_of,
+    _sparse_rows,
+    _unit_phase,
     Field,
     Matrix,
     QQ,
@@ -410,3 +416,104 @@ def test_integral_rationals_are_ints(data, rhs):
     back = pickle.loads(pickle.dumps(a))
     assert back == a
     assert [type(c) for c in back.entries] == [type(c) for c in a.entries]
+
+
+# --- the rank engine against the direct elimination ----------------------
+
+
+@st.composite
+def engine_matrices(draw):
+    """Sparse, dense, wide, tall and empty matrices over Q, some rank-deficient.
+
+    Sparse matrices are mostly zeros with a few units and non-units; dense
+    ones are small integers or non-integer fractions.  Some get extra rows
+    that are integer combinations of the others, so their rank falls short
+    of min(rows, cols).
+    """
+    kind = draw(st.sampled_from(["sparse", "dense", "wide", "tall", "empty"]))
+    sizes = {"sparse": (1, 12, 1, 12), "dense": (1, 6, 1, 6), "wide": (1, 4, 7, 14), "tall": (7, 14, 1, 4)}
+    if kind == "empty":
+        nrows, ncols = draw(st.sampled_from([(0, 0), (0, 3), (3, 0)]))
+    else:
+        lo_r, hi_r, lo_c, hi_c = sizes[kind]
+        nrows, ncols = draw(st.integers(lo_r, hi_r)), draw(st.integers(lo_c, hi_c))
+    if kind == "dense":
+        entry = draw(st.sampled_from([st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7)]))
+    else:
+        entry = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=engine_matrices())
+def test_rank_engine_matches_the_direct_elimination(data):
+    """`_rank_of` equals the rank of `_echelon` over Q (Fraction entries), F2,
+    F3 and F101; with exact=False it is a lower bound, exact over F_p."""
+    rows, ncols = data
+    for field in (QQ, F2, Field(3), Field(101)):
+        if field.char and any(Fraction(x).denominator % field.char == 0 for r in rows for x in r):
+            continue
+        a = Matrix.from_rows(field, rows, cols=ncols)
+        want = len(_echelon(field, a.row_lists(), ncols))
+        bound = min(a.rows, a.cols)
+        assert _rank_of(field, _sparse_rows(a), bound) == want
+        lower = _rank_of(field, _sparse_rows(a), bound, exact=False)
+        assert lower == want if field.char else lower <= want
+        assert rank(a) == want
+
+
+def _recording_bareiss(monkeypatch):
+    calls = []
+    original = linalg._bareiss_echelon
+
+    def recorded(rows_, m, n):
+        calls.append((m, n))
+        return original(rows_, m, n)
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", recorded)
+    return calls
+
+
+def test_no_unit_entry_over_q_leaves_everything_to_the_residual(monkeypatch):
+    """2I has no +-1 entry, but its rank mod the residue prime is full, so no
+    Bareiss runs; [[2, 3], [4, 6]] has rank 1 < 2, and with no unit pivot
+    Bareiss gets the whole matrix."""
+    assert _unit_phase([{0: 2}, {1: 2}], 0, 2) == (0, [{0: 2}, {1: 2}], [0, 1])
+    assert _unit_phase([{0: 2, 1: 3}, {0: 4, 1: 6}], 0, 2)[0] == 0
+    calls = _recording_bareiss(monkeypatch)
+    assert rank(mat(QQ, [[2, 0], [0, 2]])) == 2
+    assert calls == []
+    assert rank(mat(QQ, [[2, 3], [4, 6]])) == 1
+    assert calls == [(2, 2)]
+
+
+def test_rank_lost_mod_the_residue_prime_comes_from_bareiss(monkeypatch):
+    """[[1, 2], [3, 6 + q]] has determinant q, the residue prime: its rank is
+    1 mod q and 2 over Q.  The unit pivot leaves the 1x1 residual [[q]],
+    which Bareiss settles."""
+    q = _RESIDUE_PRIME
+    a = mat(QQ, [[1, 2], [3, 6 + q]])
+    assert _rank_of(QQ, _sparse_rows(a), 2, exact=False) == 1
+    assert rank(mat(Field(q), [[1, 2], [3, 6 + q]])) == 1
+    calls = _recording_bareiss(monkeypatch)
+    assert rank(a) == 2
+    assert calls == [(1, 1)]
+    assert rank(mat(QQ, [[q, 0, 0], [0, 1, 1], [0, 0, q]])) == 3
+
+
+def test_a_bound_below_min_rows_cols_ends_the_search(monkeypatch):
+    """Rank 2 on a 3x3 matrix: min(rows, cols) = 3 needs the Bareiss
+    fallback, while the bound 2 (as the identity gives an End map) is met
+    by the unit pivots alone."""
+    rows = [[1, 1, 0], [0, 1, 1], [1, 2, 1]]
+    a = mat(QQ, rows)
+    calls = _recording_bareiss(monkeypatch)
+    assert _rank_of(QQ, _sparse_rows(a), 2) == 2
+    assert calls == []
+    assert _rank_of(QQ, _sparse_rows(a), 3) == 2
+    assert len(calls) == 1

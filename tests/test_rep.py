@@ -3,17 +3,31 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quiverrep.linalg as linalg
 from quiverrep.dynkin import build_quiver, kronecker_quiver, orientation_schemes
 from quiverrep.errors import MismatchError
 from quiverrep.formats import parse_quiver_file
-from quiverrep.linalg import Field, Matrix, QQ, rank
-from quiverrep.quiver import Quiver, euler_form
+from quiverrep.indec import all_indecomposables
+from quiverrep.linalg import (
+    Field,
+    Matrix,
+    QQ,
+    _echelon,
+    _free_columns,
+    _kernel_of_rows,
+    cokernel_basis,
+    kernel_basis,
+    rank,
+    solve,
+)
+from quiverrep.quiver import Quiver, classify, euler_form
 from quiverrep.rep import (
     IsoVerdict,
     Representation,
@@ -315,3 +329,115 @@ def test_jordan_block_loop_adds_both_terms(field):
     assert hom_ext_dims(m, m) == naive_hom_ext(m, m) == (2, 2)
     assert hom_space(m, m).dimension == ext1_space(m, m).dimension == 2
     assert end_dim(m) == 2 and not is_schur(m)
+
+
+# --- the rank engine's certificates against the direct path --------------
+
+
+def _direct_cokernel(phi: Matrix) -> list[tuple]:
+    """Unit vectors off the pivots of the canonical elimination of phi^T."""
+    free = _free_columns(phi.rows, _echelon(phi.field, phi.transpose().row_lists(), phi.rows))
+    return [tuple(int(t == i) for t in range(phi.rows)) for i in free]
+
+
+def _random_cocycle(M: Representation, N: Representation, rng: random.Random) -> list[Matrix]:
+    field = M.field
+    out = []
+    for a in M.quiver.arrows:
+        r, c = N.dims[a.target], M.dims[a.source]
+        ents = [rng.randint(-3, 3) if field.is_rational else rng.randrange(field.char) for _ in range(r * c)]
+        out.append(Matrix(field, r, c, ents))
+    return out
+
+
+def _assert_certificates_match_the_direct_path(M, N, rng):
+    """kernel_basis, cokernel_basis and is_coboundary (on one random cocycle
+    and on zero) equal the canonical elimination and `solve`."""
+    phi = commutation_map(M, N)
+    assert kernel_basis(phi) == _kernel_of_rows(phi.field, phi.row_lists(), phi.cols)
+    assert cokernel_basis(phi) == _direct_cokernel(phi)
+    eta = _random_cocycle(M, N, rng)
+    for eta in (eta, [Matrix.zeros(M.field, e.rows, e.cols) for e in eta]):
+        vec = [x for m in eta for x in m.entries]
+        assert is_coboundary(M, N, eta) == (solve(phi, vec) is not None)
+
+
+SHIPPED_FINITE = [p for p in SHIPPED if classify(parse_quiver_file(p.read_text())).finite]
+
+
+@pytest.mark.parametrize("path", SHIPPED_FINITE, ids=lambda p: p.stem)
+def test_end_map_certificates_on_every_shipped_catalog(path):
+    """On End(M) of every catalog module over Q and F3 the rank engine's
+    early answers agree with the dense canonical path."""
+    q = parse_quiver_file(path.read_text())
+    rng = random.Random(f"certificates:{q.name}")
+    for field in (QQ, F3):
+        for _, M in all_indecomposables(q, field).entries:
+            _assert_certificates_match_the_direct_path(M, M, rng)
+
+
+def test_certificates_on_random_pairs_and_the_zero_map_control():
+    """Random pairs on D5 and E6 over Q and F3, and the zero-map control: with
+    zero arrow maps every coboundary is zero, so a nonzero cocycle is never one."""
+    rng = random.Random(19)
+    for field in (QQ, F3):
+        for letter, rk in (("D", 5), ("E", 6)):
+            for scheme in orientation_schemes(letter, rk)[:2]:
+                q = build_quiver(letter, rk, scheme)
+                for _ in range(6):
+                    m, n = random_rep(q, field, rng), random_rep(q, field, rng)
+                    _assert_certificates_match_the_direct_path(m, n, rng)
+                zero = Representation.from_maps(q, field, (1, 2, 2, 1, 1, 1)[:rk])
+                _assert_certificates_match_the_direct_path(zero, zero, rng)
+                eta = [Matrix(field, f.rows, f.cols, [1] * (f.rows * f.cols)) for f in zero.maps]
+                assert not is_coboundary(zero, zero, eta)
+
+
+def _never_bareiss(*args):
+    raise AssertionError("Bareiss ran on a full-rank map")
+
+
+def test_full_rank_rational_pair_needs_no_bareiss(monkeypatch):
+    """Two random A20 representations of dim 4 over Q: the 304x320 map has
+    full row rank, which the residue-prime rank certifies on its own."""
+    rng = random.Random(20)
+    q = build_quiver("A", 20)
+    reps = [
+        Representation(q, QQ, (4,) * 20, [Matrix(QQ, 4, 4, [rng.randint(-3, 3) for _ in range(16)]) for _ in q.arrows])
+        for _ in range(2)
+    ]
+    monkeypatch.setattr(linalg, "_bareiss_echelon", _never_bareiss)
+    hom, ext = hom_ext_dims(*reps)
+    assert (hom, ext) == (16, 0) and hom - ext == euler_form(q, reps[0].dims, reps[1].dims)
+
+
+def test_end_bound_spares_bareiss(monkeypatch):
+    """The Kronecker module k --(1, 0)--> k is a brick whose 2x2 End map has
+    rank 1: below min(rows, cols), but equal to cols - 1, the bound the
+    identity gives, so the residue-prime rank settles it."""
+    kron = kronecker_quiver()
+    m = Representation(kron, QQ, (1, 1), [Matrix(QQ, 1, 1, [1]), Matrix(QQ, 1, 1, [0])])
+    assert rank(commutation_map(m, m)) == 1
+    monkeypatch.setattr(linalg, "_bareiss_echelon", _never_bareiss)
+    assert hom_ext_dims(m, m) == (1, 1)
+
+
+def test_rank_peak_stays_below_the_dense_map():
+    """Two A20 representations of dim 10 over Q give a 1900x2000 map, whose
+    dense entry list alone takes 8 bytes x 3.8M = 30 MB.  The sparse rows, the
+    residue copy and the dense residual together peak below half of that."""
+    rng = random.Random(10)
+    q = build_quiver("A", 20)
+    reps = [
+        Representation(q, QQ, (10,) * 20, [Matrix(QQ, 10, 10, [rng.randint(-3, 3) for _ in range(100)]) for _ in q.arrows])
+        for _ in range(2)
+    ]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dims = hom_ext_dims(*reps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert dims == (100, 0)
+    assert peak <= 8 * 1900 * 2000 / 2
