@@ -30,6 +30,7 @@ from .formats import (
     report_json,
 )
 from .indec import all_indecomposables, construct_indecomposable
+from .linalg import _INTEGER
 from .quiver import classify, euler_form
 from .rep import hom_ext_dims
 from .roots import positive_roots
@@ -119,9 +120,13 @@ def _cmd_roots(args) -> int:
 
 
 def _parse_dim(text: str, expected: int):
+    parts = text.split(",")
+    bad = next((t for t in parts if not _INTEGER.fullmatch(t)), None)
+    if bad is not None:
+        raise ParseError(f"bad dimension vector {text!r}: {bad!r} is not an integer in digits 0-9")
     try:
-        coords = tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
+        coords = tuple(map(int, parts))
+    except ValueError as exc:  # more digits than int() accepts
         raise ParseError(f"bad dimension vector {text!r}: {exc}") from exc
     if len(coords) != expected:
         raise ParseError(f"dimension vector needs {expected} coordinates, got {len(coords)}")
@@ -147,6 +152,8 @@ def _cmd_ext(args) -> int:
     check_pair_size(src, dst)
     hom, ext = hom_ext_dims(src, dst)
     euler = euler_form(Q, src.dims, dst.dims)
+    # hom - ext = dom - cod for any rank, so this checks Phi's block sizes
+    # (`rep._blocks`) against `euler_form`; it cannot catch a wrong rank.
     if hom - ext != euler:
         raise InternalInvariantError(
             f"Euler identity failed: {hom} - {ext} != {euler}"

@@ -10,8 +10,9 @@ Quiver files::
 Representation files (parsed against a quiver)::
 
     rep <name> over <field>     field is Q or F<p> with p prime
-    dim <vertex-label> = <nat>
-    map <arrow-id> = [[..],[..]] row-major, entries like 7 or -3/2
+    dim <vertex-label> = <nat>           nat is [0-9]+
+    map <arrow-id> = [[..],[..]] row-major, entries n or a/b, each of
+                                         n, a, b in [+-]?[0-9]+ (7, -3/2)
 
 Missing dim lines default to 0; missing map lines default to the zero matrix,
 which is also how zero-sized matrices are written out.  A repeated dim or map
@@ -216,7 +217,7 @@ def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:
             name = m.group(1)
             field = parse_field(m.group(2))
         elif line.startswith("dim"):
-            m = re.match(r"^dim\s+(\S+)\s*=\s*(\d+)$", line)
+            m = re.match(r"^dim\s+(\S+)\s*=\s*([0-9]+)$", line)
             if not m:
                 raise ParseError("expected 'dim <vertex> = <nat>'", lineno)
             v = m.group(1)

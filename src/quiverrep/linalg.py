@@ -11,30 +11,36 @@ divisions and one Fraction per non-integral entry at the end.  Prime-field
 rows use modular elimination with unit pivots.  A step updates the rows
 below the pivot from the pivot column on.  Pivoting is canonical (first
 nonzero entry in column order, lowest row first), so every basis returned is
-reproducible bit for bit.  The eliminations work on plain row lists:
-`kernel_basis` is `_kernel_of_rows` on a matrix's rows, and the reflection
-functors call `_kernel_of_rows` on rows they assemble without building a
-`Matrix`.
+reproducible bit for bit.  The eliminations work on plain row lists.
+`_sparse_kernel`, `_sparse_cokernel` and `_sparse_solve` take a matrix as
+sparse rows {column: canonical entry} and turn them into lists once, so
+`rep` hands them the commutation map's rows as it builds them;
+`kernel_basis`, `cokernel_basis` and `solve` are those three on a
+`Matrix`'s rows.  The reflection functors call `_kernel_of_rows` on rows
+they assemble without building a `Matrix`.
 
 A rank does not depend on pivot order, so questions that need only a rank go
-to one rank engine, `_rank_of`, on sparse rows {column: entry}: `rank`, the
-empty cases of `kernel_basis` (full column rank) and `cokernel_basis` (full
-row rank), and, in `rep`, `hom_ext_dims` and `is_coboundary`.  It
-eliminates sparsely on unit pivots, hands dense residual rows to the dense
-kernels, and over Q takes the rank modulo one word-size prime, running
+to one rank engine, `_rank_of`, on sparse rows: `rank`, `rep.hom_ext_dims`,
+and the full-rank cases of the three sparse routines (an empty kernel at
+full column rank, an empty cokernel at full row rank, and a system that is
+solvable whatever its right-hand side, which answers `rep.is_coboundary`).
+It eliminates sparsely on unit pivots, hands dense residual rows to the
+dense kernels, and over Q takes the rank modulo one word-size prime, running
 Bareiss only when that rank falls short of what the caller knows the rank
 can be.  The answers are exact and the same as the canonical elimination's.
 
-The `Matrix` constructor is the one place where entries become canonical, in
-one pass per field: ints are reduced mod p, or kept as they are over Q, and
-any other input goes through `Field.canon`, so each stored entry is exactly
-`field.canon(x)`.  Matrix arithmetic and `solve` hand it raw sums,
-differences and right-hand sides without reducing them first.  Immutability,
-equality, hashing and copying come from `value.Value`.
+The `Matrix` constructor is the one place where a matrix's entries become
+canonical, in one pass per field: ints are reduced mod p, or kept as they
+are over Q, and any other input goes through `Field.canon`, so each stored
+entry is exactly `field.canon(x)`.  Matrix arithmetic hands it raw sums and
+differences without reducing them first; `solve` puts its right-hand side
+through `Field.canon`.  Immutability, equality, hashing and copying come
+from `value.Value`.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import compress
 from math import lcm
@@ -52,6 +58,11 @@ __all__ = [
     "cokernel_basis",
     "solve",
 ]
+
+
+# An integer as the file formats write it.  int() alone would also read
+# other scripts' digits, underscores between digits and surrounding spaces.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _is_prime(n: int) -> bool:
@@ -114,15 +125,17 @@ class Field(Value):
         return x.numerator * pow(x.denominator, -1, p) % p
 
     def parse(self, token: str):
-        """Parse an element written as `n` or `a/b`."""
-        token = token.strip()
-        if "/" in token:
-            num_s, _, den_s = token.partition("/")
+        """Parse an element written as `n` or `a/b`, with n, a and b ASCII
+        integers `[+-]?[0-9]+`; anything else raises ValueError."""
+        num_s, slash, den_s = token.strip().partition("/")
+        if not _INTEGER.fullmatch(num_s) or (slash and not _INTEGER.fullmatch(den_s)):
+            raise ValueError(f"{token!r} is not an integer n or a fraction a/b in digits 0-9")
+        if slash:
             num, den = int(num_s), int(den_s)
             if den == 0:
                 raise ZeroDivisionError(f"zero denominator in {token!r}")
             return self.canon(Fraction(num, den))
-        return self.canon(int(token))
+        return self.canon(int(num_s))
 
     def __str__(self) -> str:
         return "Q" if self.char == 0 else f"F{self.char}"
@@ -402,7 +415,7 @@ def _unit_phase(rows: list[dict], p: int, bound: int) -> tuple[int, list[dict], 
     return done, [rows[i] for i in sorted(live)], sorted(colrows)
 
 
-def _dense(rows: list[dict], cols: list[int]) -> list[list]:
+def _dense(rows: list[dict], cols: Sequence[int]) -> list[list]:
     """The rows as lists over the given columns; each dict is emptied once
     copied, so the two forms are never both held in full."""
     at = {c: k for k, c in enumerate(cols)}
@@ -525,9 +538,17 @@ def rank(A: Matrix) -> int:
 
 def kernel_basis(A: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel {x : Ax = 0}, one vector per free column."""
-    if A.cols <= A.rows and _rank_of(A.field, _sparse_rows(A), A.cols, exact=False) == A.cols:
-        return []
-    return _kernel_of_rows(A.field, A.row_lists(), A.cols)
+    return _sparse_kernel(A.field, _sparse_rows(A), A.cols)
+
+
+def cokernel_basis(A: Matrix) -> list[tuple]:
+    """Standard-basis representatives of target/im(A), one per non-pivot coordinate."""
+    return _sparse_cokernel(A.field, _sparse_rows(A), A.cols)
+
+
+def solve(A: Matrix, b: Sequence):
+    """Some exact solution of Ax = b with free variables zero, or None."""
+    return _sparse_solve(A.field, _sparse_rows(A), A.cols, [A.field.canon(x) for x in b])
 
 
 def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
@@ -547,33 +568,52 @@ def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
     return basis
 
 
-def cokernel_basis(A: Matrix) -> list[tuple]:
-    """Standard-basis representatives of target/im(A), one per non-pivot coordinate.
+# --- bases and solutions on sparse rows ---------------------------------
+#
+# Each routine takes an n-column matrix as sparse rows {column: canonical
+# entry} and consumes them.  It answers its full-rank case by `_full_rank`,
+# and otherwise turns the rows into lists once for the dense elimination.
 
-    Coordinates are pivots of the column space (forward pass on the transpose);
-    the remaining standard basis vectors descend to a basis of the cokernel.
-    """
-    if A.rows <= A.cols and _rank_of(A.field, _sparse_rows(A), A.rows, exact=False) == A.rows:
+
+def _full_rank(field: Field, rows: list[dict], bound: int) -> bool:
+    """Whether the rows have rank `bound`, by a rank-engine lower bound.  The
+    engine consumes rows mod p and rescales them over Q, so it gets a copy."""
+    return _rank_of(field, [r.copy() for r in rows], bound, exact=False) == bound
+
+
+def _sparse_kernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
+    """`kernel_basis`: empty at full column rank."""
+    if n <= len(rows) and _full_rank(field, rows, n):
         return []
-    free = _free_columns(A.rows, _echelon(A.field, A.transpose().row_lists(), A.rows))
-    return [tuple(int(t == i) for t in range(A.rows)) for i in free]
+    return _kernel_of_rows(field, _dense(rows, range(n)), n)
 
 
-def solve(A: Matrix, b: Sequence):
-    """Some exact solution of Ax = b with free variables zero, or None."""
-    if len(b) != A.rows:
-        raise ValueError(f"rhs length {len(b)} != row count {A.rows}")
-    flat = []
-    for i, bi in enumerate(b):
-        flat.extend(A.row(i))
-        flat.append(bi)
-    aug = Matrix(A.field, A.rows, A.cols + 1, flat)
-    rows_ = aug.row_lists()
-    pivots = _echelon(aug.field, rows_, aug.cols)
-    if A.cols in pivots:
+def _sparse_cokernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
+    """`cokernel_basis`: empty at full row rank.  Otherwise the coordinates
+    are the pivots of the column space (a forward pass on the transposed
+    lists), and the remaining standard basis vectors descend to a basis of
+    the cokernel."""
+    m = len(rows)
+    if m <= n and _full_rank(field, rows, m):
+        return []
+    free = _free_columns(m, _echelon(field, [list(c) for c in zip(*_dense(rows, range(n)))], m))
+    return [tuple(int(t == i) for t in range(m)) for i in free]
+
+
+def _sparse_solve(field: Field, rows: list[dict], n: int, b: Sequence, exists: bool = False):
+    """`solve` with canonical right-hand side b, on the rows augmented by it.
+    With exists=True only solvability is asked, and full row rank answers
+    True without elimination."""
+    m = len(rows)
+    if len(b) != m:
+        raise ValueError(f"rhs length {len(b)} != row count {m}")
+    if exists and m <= n and _full_rank(field, rows, m):
+        return True
+    rows_ = [r + [bi] for r, bi in zip(_dense(rows, range(n)), b)]
+    pivots = _echelon(field, rows_, n + 1)
+    if n in pivots:
         return None
-    x = [0] * A.cols
-    for pc, (val,) in zip(pivots, _back_substitute(aug.field, rows_, pivots, [A.cols])):
+    x = [0] * n
+    for pc, (val,) in zip(pivots, _back_substitute(field, rows_, pivots, [n])):
         x[pc] = val
     return tuple(x)
-

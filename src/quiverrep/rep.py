@@ -14,10 +14,12 @@ shared with the deformation module.
 Phi is assembled once, as sparse rows in codomain order: each entry is a
 copied entry of g_a or a negated entry of f_a, placed at its domain
 coordinate.  The two terms land on the same entry only for a loop
-(source(a) == target(a)), and only there are entries added.  Questions that
-need only a rank (`hom_ext_dims`, and `is_coboundary` when Phi is onto) hand
-those rows to the linalg rank engine; `commutation_map` fills a dense
-`Matrix` from the same rows for the routines that need a canonical basis.
+(source(a) == target(a)), and only there are entries added.  Every question
+reads those rows once: `hom_ext_dims` hands them to the linalg rank engine,
+and `hom_space`, `ext1_space` and `is_coboundary` to the sparse kernel,
+cokernel and solve, which settle full rank by that engine and otherwise make
+the rows dense lists once.  `commutation_map` is the dense `Matrix` view of
+the same rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import MismatchError
-from .linalg import Field, Matrix, _rank_of, kernel_basis, cokernel_basis, rank, solve
+from .linalg import Field, Matrix, _dense, _rank_of, _sparse_cokernel, _sparse_kernel, _sparse_solve, rank
 from .quiver import Quiver
 from .value import Value, setfield
 
@@ -209,26 +211,21 @@ def _phi_rows(M: Representation, N: Representation) -> tuple[list[dict], int]:
 def commutation_map(M: Representation, N: Representation) -> Matrix:
     """Matrix of Phi(u)_a = g_a u_source(a) - u_target(a) f_a in the documented coordinates."""
     rows, dom = _phi_rows(M, N)
-    flat = [0] * (len(rows) * dom)
-    for i, row in enumerate(rows):
-        base = i * dom
-        for c, x in row.items():
-            flat[base + c] = x
-    return Matrix(M.field, len(rows), dom, flat)
+    return Matrix(M.field, len(rows), dom, [x for row in _dense(rows, range(dom)) for x in row])
 
 
 def hom_space(M: Representation, N: Representation) -> MorphismSpace:
     """Canonical basis of the space of quiver morphisms M -> N."""
-    phi = commutation_map(M, N)
+    rows, dom = _phi_rows(M, N)
     (vblocks, _), _ = _blocks(M, N)
-    return MorphismSpace(M, N, (_split(v, vblocks, M.field) for v in kernel_basis(phi)))
+    return MorphismSpace(M, N, (_split(v, vblocks, M.field) for v in _sparse_kernel(M.field, rows, dom)))
 
 
 def ext1_space(M: Representation, N: Representation) -> ExtSpace:
     """Cocycle representatives of Ext^1(M, N) as a cokernel of the commutation map."""
-    phi = commutation_map(M, N)
+    rows, dom = _phi_rows(M, N)
     _, (ablocks, _) = _blocks(M, N)
-    return ExtSpace(M, N, (_split(v, ablocks, M.field) for v in cokernel_basis(phi)))
+    return ExtSpace(M, N, (_split(v, ablocks, M.field) for v in _sparse_cokernel(M.field, rows, dom)))
 
 
 def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:
@@ -252,11 +249,7 @@ def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -
         if m.rows != rows or m.cols != cols or m.field != M.field:
             raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
     phi_rows, dom = _phi_rows(M, N)
-    cod = len(phi_rows)
-    if cod <= dom and _rank_of(M.field, phi_rows, cod, exact=False) == cod:
-        return True
-    vec = [x for m in eta for x in m.entries]
-    return solve(commutation_map(M, N), vec) is not None
+    return _sparse_solve(M.field, phi_rows, dom, [x for m in eta for x in m.entries], exists=True) is not None
 
 
 def end_dim(M: Representation) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import sys
@@ -43,6 +44,15 @@ def quiver_st(draw):
         t = draw(st.integers(0, n - 1))
         arrows.append((f"a{k}", s, t))
     return Quiver.from_edges(labels, arrows)
+
+
+def load_digest_tool():
+    """tools/catalog_digests.py as a module; tools/ is not a package."""
+    path = Path(__file__).parent.parent / "tools" / "catalog_digests.py"
+    spec = importlib.util.spec_from_file_location("catalog_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

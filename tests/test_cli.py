@@ -133,6 +133,12 @@ class TestIndec:
         assert out == ""
         assert err == "error: prime field modulus must be below 2**31 = 2147483648\n"
 
+    @pytest.mark.parametrize("dim", ["1_0,1", "\u0661,1", "1,\uff11", " 1,1", "1,1 "])
+    def test_dim_outside_the_grammar_exit_1(self, files, dim):
+        code, out, err = run_cli(["indec", files["A2_linear"], "--dim", dim, "--field", "Q"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad dimension vector ") and err.count("\n") == 1
+
     def test_largest_field_below_the_bound(self, files):
         code, out, _ = run_cli(["indec", files["A2_linear"], "--dim", "1,1", "--field", "F2147483647"])
         assert code == 0
@@ -175,6 +181,21 @@ class TestExt:
         assert code == 1
         assert out == ""
         assert err == f"error: line 2: dim of vertex '1' exceeds the bound {MAX_DIM}\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("dim 1 = \u0661\n", "line 2: expected 'dim <vertex> = <nat>'"),
+            ("dim 1 = 1\ndim 2 = 1\nmap a1 = [[1_0]]\n", "line 4: bad matrix entry: '1_0' is not an integer"),
+            ("dim 1 = 1\ndim 2 = 1\nmap a1 = [[\u0661]]\n", "line 4: bad matrix entry: '\u0661' is not an integer"),
+        ],
+    )
+    def test_integers_outside_the_grammar_exit_1(self, files, tmp_path, body, message):
+        bad = self._write_rep(tmp_path, "bad.rep", "rep B over Q\n" + body)
+        good = self._write_rep(tmp_path, "good.rep", "rep G over Q\ndim 1 = 1\ndim 2 = 1\nmap a1 = [[10]]\n")
+        code, out, err = run_cli(["ext", files["A2_linear"], "--from", bad, "--to", good])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_oversized_field_line_exit_1(self, files, tmp_path):
         big = self._write_rep(tmp_path, "big.rep", "rep B over F2305843009213693951\ndim 1 = 1\n")

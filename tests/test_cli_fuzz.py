@@ -37,7 +37,7 @@ PIECES = [
     "quiver", "vertices:", "arrow", "rep", "over", "dim", "map", "->", ":", "=",
     "[", "]", "[[", "]]", ",", "/", "-", "#", " ", "\n", "\r", "\t", "\x00",
     "0", "1", "2", "16", "17", "-1", "1/0", "99999999999999999999", "Q", "F2",
-    "F3", "F4", "F101", "F2147483648", "a1", "3", "x", "é", "\u0663", "\u2028",
+    "F3", "F4", "F101", "F2147483648", "a1", "3", "x", "é", "\u0663", "\u2028", "1_0",
 ]
 FIELDS = ["Q", "F2", "F3", "F5", "F4", "F0", "F2147483648", "q", ""]
 DIMS = ["1,1,1", "0,1,1", "1,1,1,1", "1,2,1,1", "1,1", "2,2,2", "-1,2", "1,,1", "x", "", "1\n1"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -189,6 +190,25 @@ class TestRepFile:
         with pytest.raises(ParseError) as exc:
             parse_rep_file("rep M over Q\n" + body, build_quiver("A", 2))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", ["\u0661", "\uff11", "1\u0660"])
+    def test_non_ascii_dim_digits_rejected(self, value):
+        """`\\d` and int() read any script's decimal digits; the format is ASCII."""
+        with pytest.raises(ParseError, match="line 2: expected 'dim <vertex> = <nat>'"):
+            parse_rep_file(f"rep M over Q\ndim 1 = {value}\n", build_quiver("A", 2))
+
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661", "1/\u0662", "\u0661/2", "1/2_0", "0x1", "1.0", "1//2", "/2", "1/"])
+    @pytest.mark.parametrize("field", ["Q", "F101"])
+    def test_entries_outside_the_grammar_rejected(self, entry, field):
+        text = f"rep M over {field}\ndim 1 = 1\ndim 2 = 1\nmap a1 = [[{entry}]]\n"
+        with pytest.raises(ParseError, match="^line 4: bad matrix entry: "):
+            parse_rep_file(text, build_quiver("A", 2))
+
+    @pytest.mark.parametrize("entry, value", [("+7", 7), ("-0", 0), ("007", 7), ("-3/2", Fraction(-3, 2)), ("4/-6", Fraction(-2, 3)), ("+6/+3", 2)])
+    def test_entries_in_the_grammar_accepted(self, entry, value):
+        assert QQ.parse(entry) == value and type(QQ.parse(entry)) is type(value)
+        _, rep = parse_rep_file(f"rep M over Q\ndim 1 = 1\ndim 2 = 1\nmap a1 = [[{entry}]]\n", build_quiver("A", 2))
+        assert rep.maps[0].entries == (value,)
 
     def test_dim_at_the_bound_accepted(self):
         q = build_quiver("A", 2)

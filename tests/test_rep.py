@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverrep.linalg as linalg
+import quiverrep.rep as rep
 from quiverrep.dynkin import build_quiver, kronecker_quiver, orientation_schemes
 from quiverrep.errors import MismatchError
 from quiverrep.formats import parse_quiver_file
@@ -43,6 +45,7 @@ from quiverrep.rep import (
     isomorphism_verdict,
 )
 
+from conftest import load_digest_tool
 from oracles import columnwise_commutation_map, naive_hom_ext
 
 F2 = Field(2)
@@ -350,12 +353,19 @@ def _random_cocycle(M: Representation, N: Representation, rng: random.Random) ->
     return out
 
 
+def _flat(mats) -> tuple:
+    return tuple(x for m in mats for x in m.entries)
+
+
 def _assert_certificates_match_the_direct_path(M, N, rng):
     """kernel_basis, cokernel_basis and is_coboundary (on one random cocycle
-    and on zero) equal the canonical elimination and `solve`."""
+    and on zero) equal the canonical elimination and `solve`; hom_space and
+    ext1_space, flattened, equal kernel_basis and cokernel_basis."""
     phi = commutation_map(M, N)
     assert kernel_basis(phi) == _kernel_of_rows(phi.field, phi.row_lists(), phi.cols)
     assert cokernel_basis(phi) == _direct_cokernel(phi)
+    assert [_flat(u) for u in hom_space(M, N).basis] == kernel_basis(phi)
+    assert [_flat(eta) for eta in ext1_space(M, N).cocycles] == cokernel_basis(phi)
     eta = _random_cocycle(M, N, rng)
     for eta in (eta, [Matrix.zeros(M.field, e.rows, e.cols) for e in eta]):
         vec = [x for m in eta for x in m.entries]
@@ -391,6 +401,45 @@ def test_certificates_on_random_pairs_and_the_zero_map_control():
                 _assert_certificates_match_the_direct_path(zero, zero, rng)
                 eta = [Matrix(field, f.rows, f.cols, [1] * (f.rows * f.cols)) for f in zero.maps]
                 assert not is_coboundary(zero, zero, eta)
+
+
+def test_is_coboundary_builds_phi_once_when_phi_is_not_onto(monkeypatch):
+    """The zero-map control and a D5 pair over Q with Ext^1 = 1: Phi is not
+    onto, so the answer needs a solve, which runs on the rows of the one
+    `_phi_rows` call and never on a dense `commutation_map`."""
+    q = build_quiver("D", 5)
+    one = Matrix(QQ, 1, 1, [1])
+    m = Representation.from_maps(q, QQ, (1, 1, 1, 0, 0), {"a1": one, "a2": one})
+    n = Representation.from_maps(q, QQ, (0, 1, 1, 1, 0), {"a2": one, "a3": one})
+    zero = Representation.from_maps(q, QQ, (1, 2, 2, 1, 1))
+    assert hom_ext_dims(m, n) == (0, 1) and hom_ext_dims(zero, zero)[1] > 0
+    # (m, n): Phi is [[-1, 0], [1, -1], [0, 1]]; its first column is a coboundary
+    cases = [
+        (m, n, [1, 0, 0], False),
+        (m, n, [-1, 1, 0], True),
+        (zero, zero, [1] * 10, False),
+        (zero, zero, [0] * 10, True),
+    ]
+    cases = [(M, N, rep._split(vec, rep._blocks(M, N)[1][0], QQ), verdict) for M, N, vec, verdict in cases]
+    calls = []
+    phi_rows = rep._phi_rows
+    monkeypatch.setattr(rep, "_phi_rows", lambda M, N: calls.append((M, N)) or phi_rows(M, N))
+    monkeypatch.setattr(rep, "commutation_map", _never_dense)
+    for M, N, eta, verdict in cases:
+        calls.clear()
+        assert is_coboundary(M, N, eta) is verdict
+        assert calls == [(M, N)]
+
+
+def _never_dense(*args):
+    raise AssertionError("commutation_map built a dense Phi")
+
+
+def test_basis_digests_match_the_golden_file():
+    """hom_space bases, ext1_space cocycles and is_coboundary verdicts on the
+    seeded pairs of tools/catalog_digests.py hash to the recorded digests."""
+    digests = load_digest_tool()
+    assert digests.basis_digests() == json.loads(digests.BASES_GOLDEN.read_text(encoding="utf-8"))
 
 
 def _never_bareiss(*args):

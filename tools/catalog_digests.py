@@ -1,10 +1,17 @@
-"""Record the sha256 of every shipped finite catalog, over Q, F2 and F3.
+"""Record the sha256 of every shipped finite catalog, over Q, F2 and F3, and
+of the Hom bases, Ext cocycles and coboundary verdicts on fixed random pairs.
 
 A catalog's digest is the sha256 of the `rep_file_text` of its entries, in
 catalog order, joined.  The digests go to tests/golden/catalog_sha256.json,
 keyed by quiver file name and then by field token; the test suite compares
 each catalog it builds against them, so any change to the emitted bytes of
-an indecomposable shows.  Run from the repository root:
+an indecomposable shows.
+
+The basis digests go to tests/golden/basis_sha256.json, keyed by quiver and
+field: the sha256 of the `repr` of every `hom_space` basis, every
+`ext1_space` cocycle and every `is_coboundary` verdict on seeded random
+pairs, so a change to those bytes shows even when the `rep` functions and
+their `linalg` counterparts drift together.  Run from the repository root:
 
     PYTHONPATH=src python tools/catalog_digests.py
 """
@@ -13,15 +20,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
+from quiverrep.dynkin import build_quiver
 from quiverrep.formats import parse_field, parse_quiver_file, rep_file_text
 from quiverrep.indec import IndecCatalog, all_indecomposables
-from quiverrep.quiver import classify
+from quiverrep.linalg import Field, Matrix
+from quiverrep.quiver import Quiver, classify
+from quiverrep.rep import Representation, ext1_space, hom_space, is_coboundary
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "catalog_sha256.json"
 FIELDS = ("Q", "F2", "F3")
+BASES_GOLDEN = ROOT / "tests" / "golden" / "basis_sha256.json"
+BASIS_FIELDS = ("Q", "F2", "F3", "F101")
+# Two loops and a 2-cycle: the one quiver here where Phi adds two terms.
+LOOPS_AND_TWO_CYCLE = Quiver.from_edges(
+    ("x", "y"), (("l1", 0, 0), ("u", 0, 1), ("v", 1, 0), ("l2", 1, 1)), "loops_and_two_cycle"
+)
+BASIS_QUIVERS = (build_quiver("E", 7, "alternating"), build_quiver("E", 8), LOOPS_AND_TWO_CYCLE)
+PAIRS = 6
 
 
 def catalog_digest(catalog: IndecCatalog) -> str:
@@ -40,10 +60,74 @@ def catalog_digests() -> dict[str, dict[str, str]]:
     return out
 
 
+def _entry(field: Field, rng: random.Random):
+    """A third zeros; otherwise a fraction over Q, any residue over F_p."""
+    if rng.randrange(3) == 0:
+        return 0
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 5)) if field.is_rational else rng.randrange(field.char)
+
+
+def _random_rep(q: Quiver, field: Field, rng: random.Random) -> Representation:
+    """Dims in [0, 3], so many blocks are empty."""
+    dims = [rng.randint(0, 3) for _ in range(q.vertex_count)]
+    maps = [Matrix(field, dims[a.target], dims[a.source], [_entry(field, rng) for _ in range(dims[a.target] * dims[a.source])]) for a in q.arrows]
+    return Representation(q, field, dims, maps)
+
+
+def _cocycles(M: Representation, N: Representation, rng: random.Random) -> list[list[Matrix]]:
+    """Zero, a random cocycle, and the coboundary of a random u."""
+    field, arrows = M.field, M.quiver.arrows
+    shapes = [(N.dims[a.target], M.dims[a.source]) for a in arrows]
+    zero = [Matrix.zeros(field, r, c) for r, c in shapes]
+    rand = [Matrix(field, r, c, [_entry(field, rng) for _ in range(r * c)]) for r, c in shapes]
+    u = [Matrix(field, n, m, [_entry(field, rng) for _ in range(n * m)]) for m, n in zip(M.dims, N.dims)]
+    cob = [g @ u[a.source] - u[a.target] @ f for a, f, g in zip(arrows, M.maps, N.maps)]
+    return [zero, rand, cob]
+
+
+def _sha(items) -> str:
+    return hashlib.sha256(repr(items).encode("utf-8")).hexdigest()
+
+
+def _mats(mats) -> list:
+    return [(m.rows, m.cols, m.entries) for m in mats]
+
+
+def basis_digests() -> dict[str, dict[str, str]]:
+    """Digests of hom_space, ext1_space and is_coboundary on seeded pairs per
+    quiver of BASIS_QUIVERS and field of BASIS_FIELDS: PAIRS random pairs
+    (M, N), each also as (M, M) and (N, M), plus the zero representation
+    against a random one on both sides."""
+    out = {}
+    for q in BASIS_QUIVERS:
+        for token in BASIS_FIELDS:
+            field = parse_field(token)
+            key = f"{q.name}/{token}"
+            rng = random.Random(f"bases:{key}")
+            pairs = []
+            for _ in range(PAIRS):
+                m, n = _random_rep(q, field, rng), _random_rep(q, field, rng)
+                pairs += [(m, n), (m, m), (n, m)]
+            zero = Representation.zero(q, field)
+            pairs += [(zero, pairs[0][1]), (pairs[0][0], zero)]
+            hom, ext, verdicts = [], [], []
+            for m, n in pairs:
+                hom.append([_mats(u) for u in hom_space(m, n).basis])
+                cocycles = ext1_space(m, n).cocycles
+                ext.append([_mats(eta) for eta in cocycles])
+                verdicts.append([is_coboundary(m, n, eta) for eta in _cocycles(m, n, rng) + list(cocycles)])
+            out[key] = {"hom": _sha(hom), "ext": _sha(ext), "coboundary": _sha(verdicts)}
+    return out
+
+
+def _write(path: Path, digests: dict) -> None:
+    path.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {sum(map(len, digests.values()))} digests to {path}")
+
+
 def main() -> None:
-    digests = catalog_digests()
-    GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {sum(map(len, digests.values()))} digests to {GOLDEN}")
+    _write(GOLDEN, catalog_digests())
+    _write(BASES_GOLDEN, basis_digests())
 
 
 if __name__ == "__main__":
