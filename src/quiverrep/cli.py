@@ -119,6 +119,14 @@ def _cmd_roots(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """`--seed`: an ASCII integer `[+-]?[0-9]+`, as `--dim` reads its
+    coordinates; anything else is a usage error."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_dim(text: str, expected: int):
     parts = text.split(",")
     bad = next((t for t in parts if not _INTEGER.fullmatch(t)), None)
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument(
-            "--seed", type=int, default=0, help="accepted for compatibility; has no effect yet"
+            "--seed", type=_seed, default=0, help="accepted for compatibility; has no effect yet"
         )
 
     p = sub.add_parser("classify", help="finite/infinite type with Dynkin components")

@@ -61,7 +61,7 @@ from . import __version__
 from .errors import ParseError
 from .linalg import QQ, Field, Matrix
 from .quiver import Quiver
-from .rep import Representation
+from .rep import Representation, _blocks
 
 __all__ = [
     "parse_field",
@@ -191,9 +191,7 @@ def _parse_matrix_literal(s: str, field: Field, rows: int, cols: int, lineno: in
 
 def check_pair_size(M: Representation, N: Representation) -> None:
     """Refuse a pair whose Hom/Ext commutation map would exceed MAX_MAP_ENTRIES."""
-    arrows = M.quiver.arrows
-    rows = sum(M.dims[a.source] * N.dims[a.target] for a in arrows)
-    cols = sum(m * n for m, n in zip(M.dims, N.dims))
+    (_, cols), (_, rows) = _blocks(M, N)
     if rows * cols > MAX_MAP_ENTRIES:
         raise ParseError(f"Hom/Ext of this pair needs a {rows}x{cols} map, over the bound of {MAX_MAP_ENTRIES} entries")
 

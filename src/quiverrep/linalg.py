@@ -20,19 +20,22 @@ sparse rows {column: canonical entry} and turn them into lists once, so
 they assemble without building a `Matrix`.
 
 A rank does not depend on pivot order, so questions that need only a rank go
-to one rank engine, `_rank_of`, on sparse rows: `rank`, `rep.hom_ext_dims`,
-and the full-rank cases of the three sparse routines (an empty kernel at
-full column rank, an empty cokernel at full row rank, and a system that is
-solvable whatever its right-hand side, which answers `rep.is_coboundary`).
-It eliminates sparsely on unit pivots, hands dense residual rows to the
-dense kernels, and over Q takes the rank modulo one word-size prime, running
-Bareiss only when that rank falls short of what the caller knows the rank
-can be.  The answers are exact and the same as the canonical elimination's.
+to one rank engine on sparse rows.  One pipeline, `_rank_mod`, ranks integer
+rows mod p or over Z: it eliminates sparsely on unit pivots, then hands the
+dense residual rows to `_fp_eliminate` or `_bareiss_echelon`.
+`_rank_lower_bound` runs it over F_p, and over Q modulo one word-size prime.
+`_rank_of` answers `rank` and `rep.hom_ext_dims` from that bound, and runs
+the pipeline over Z only when the bound falls short of what the caller knows
+the rank can be.  `_full_rank` settles the full-rank cases by the bound
+alone: an empty kernel at full column rank, an empty cokernel at full row
+rank, and a system that is solvable whatever its right-hand side, which
+answers `rep.is_coboundary` without a solve.  The answers are exact and the
+same as the canonical elimination's.
 
 The `Matrix` constructor is the one place where a matrix's entries become
 canonical, in one pass per field: ints are reduced mod p, or kept as they
 are over Q, and any other input goes through `Field.canon`, so each stored
-entry is exactly `field.canon(x)`.  Matrix arithmetic hands it raw sums and
+entry is exactly `field.canon(x)`.  `Matrix.__sub__` hands it raw
 differences without reducing them first; `solve` puts its right-hand side
 through `Field.canon`.  Immutability, equality, hashing and copying come
 from `value.Value`.
@@ -199,23 +202,6 @@ class Matrix(Value):
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        out = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                out.append(sum(ri[t] * other.entries[t * m + j] for t in range(k) if ri[t]))
-        return Matrix(self.field, n, m, out)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -439,36 +425,40 @@ def _integer_dict_rows(rows: list[dict]) -> list[dict]:
     return rows
 
 
-def _fp_rank(rows: list[dict], p: int, bound: int) -> int:
-    """Rank mod p of sparse rows of residues, at most `bound`; the rows are consumed."""
+def _rank_mod(rows: list[dict], p: int, bound: int) -> int:
+    """Rank mod p of sparse integer rows, or over Z when p = 0, at most
+    `bound`; the rows are consumed.  The unit pivots are taken first, then
+    the dense kernel of the field (`_fp_eliminate` mod p, `_bareiss_echelon`
+    over Z) ranks their residual."""
     done, rest, cols = _unit_phase(rows, p, bound)
     if done >= bound or not rest:
         return done
-    return done + len(_fp_eliminate(_dense(rest, cols), len(rest), len(cols), p))
+    m, n = len(rest), len(cols)
+    rest = _dense(rest, cols)
+    return done + len(_fp_eliminate(rest, m, n, p) if p else _bareiss_echelon(rest, m, n))
 
 
-def _rank_of(field: Field, rows: list[dict], bound: int, exact: bool = True) -> int:
+def _rank_lower_bound(field: Field, rows: list[dict], bound: int) -> int:
+    """A lower bound on the rank of sparse rows {column: canonical entry}, at
+    most `bound`, that reaches `bound` only when the rank does.  Over F_p it
+    is the rank, and the rows are consumed; over Q it is the rank mod
+    _RESIDUE_PRIME of the rows, which are made integral in place."""
+    p = field.char
+    if p:
+        return _rank_mod(rows, p, bound)
+    q = _RESIDUE_PRIME
+    return _rank_mod([{c: x % q for c, x in row.items() if x % q} for row in _integer_dict_rows(rows)], q, bound)
+
+
+def _rank_of(field: Field, rows: list[dict], bound: int) -> int:
     """Rank of the matrix with sparse rows {column: canonical entry}, at most
     `bound`, an upper bound the caller knows; the rows are consumed.
 
-    Over F_p this is `_fp_rank`.  Over Q the rows are made integral, and
-    their rank mod _RESIDUE_PRIME, a lower bound on the rational rank, is
-    the rank when it reaches `bound`.  Otherwise the unit pivots over Z are
-    taken and Bareiss on their residual gives the rest.  With exact=False
-    that fallback is skipped and the result is a lower bound on the rank,
-    which reaches `bound` only when the rank does.
+    The lower bound is the rank over F_p, and over Q when it reaches
+    `bound`; otherwise the integral rows are ranked over Z.
     """
-    p = field.char
-    if p:
-        return _fp_rank(rows, p, bound)
-    q = _RESIDUE_PRIME
-    r = _fp_rank([{c: x % q for c, x in row.items() if x % q} for row in _integer_dict_rows(rows)], q, bound)
-    if r == bound or not exact:
-        return r
-    done, rest, cols = _unit_phase(rows, 0, bound)
-    if done == bound:
-        return done
-    return done + len(_bareiss_echelon(_dense(rest, cols), len(rest), len(cols)))
+    r = _rank_lower_bound(field, rows, bound)
+    return r if field.char or r == bound else _rank_mod(rows, 0, bound)
 
 
 def _sparse_rows(A: "Matrix") -> list[dict]:
@@ -571,14 +561,15 @@ def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
 # --- bases and solutions on sparse rows ---------------------------------
 #
 # Each routine takes an n-column matrix as sparse rows {column: canonical
-# entry} and consumes them.  It answers its full-rank case by `_full_rank`,
-# and otherwise turns the rows into lists once for the dense elimination.
+# entry} and consumes them.  The kernel and cokernel answer their full-rank
+# case by `_full_rank`; otherwise each routine turns the rows into lists once
+# for the dense elimination.
 
 
 def _full_rank(field: Field, rows: list[dict], bound: int) -> bool:
-    """Whether the rows have rank `bound`, by a rank-engine lower bound.  The
-    engine consumes rows mod p and rescales them over Q, so it gets a copy."""
-    return _rank_of(field, [r.copy() for r in rows], bound, exact=False) == bound
+    """Whether the rows have rank `bound`, by `_rank_lower_bound`, which
+    consumes rows mod p and rescales them over Q, so it gets a copy."""
+    return _rank_lower_bound(field, [r.copy() for r in rows], bound) == bound
 
 
 def _sparse_kernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
@@ -600,15 +591,11 @@ def _sparse_cokernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
     return [tuple(int(t == i) for t in range(m)) for i in free]
 
 
-def _sparse_solve(field: Field, rows: list[dict], n: int, b: Sequence, exists: bool = False):
-    """`solve` with canonical right-hand side b, on the rows augmented by it.
-    With exists=True only solvability is asked, and full row rank answers
-    True without elimination."""
+def _sparse_solve(field: Field, rows: list[dict], n: int, b: Sequence):
+    """`solve` with canonical right-hand side b, on the rows augmented by it."""
     m = len(rows)
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} != row count {m}")
-    if exists and m <= n and _full_rank(field, rows, m):
-        return True
     rows_ = [r + [bi] for r, bi in zip(_dense(rows, range(n)), b)]
     pivots = _echelon(field, rows_, n + 1)
     if n in pivots:

@@ -16,10 +16,11 @@ copied entry of g_a or a negated entry of f_a, placed at its domain
 coordinate.  The two terms land on the same entry only for a loop
 (source(a) == target(a)), and only there are entries added.  Every question
 reads those rows once: `hom_ext_dims` hands them to the linalg rank engine,
-and `hom_space`, `ext1_space` and `is_coboundary` to the sparse kernel,
-cokernel and solve, which settle full rank by that engine and otherwise make
-the rows dense lists once.  `commutation_map` is the dense `Matrix` view of
-the same rows.
+and `hom_space` and `ext1_space` to the sparse kernel and cokernel, which
+settle full rank by that engine and otherwise make the rows dense lists
+once.  `is_coboundary` answers an onto Phi by the engine's full-rank check
+and hands any other Phi to the sparse solve.  `commutation_map` is the dense
+`Matrix` view of the same rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import MismatchError
-from .linalg import Field, Matrix, _dense, _rank_of, _sparse_cokernel, _sparse_kernel, _sparse_solve, rank
+from .linalg import Field, Matrix, _dense, _full_rank, _rank_of, _sparse_cokernel, _sparse_kernel, _sparse_solve, rank
 from .quiver import Quiver
 from .value import Value, setfield
 
@@ -249,7 +250,10 @@ def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -
         if m.rows != rows or m.cols != cols or m.field != M.field:
             raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
     phi_rows, dom = _phi_rows(M, N)
-    return _sparse_solve(M.field, phi_rows, dom, [x for m in eta for x in m.entries], exists=True) is not None
+    cod = len(phi_rows)
+    if cod <= dom and _full_rank(M.field, phi_rows, cod):
+        return True
+    return _sparse_solve(M.field, phi_rows, dom, [x for m in eta for x in m.entries]) is not None
 
 
 def end_dim(M: Representation) -> int:

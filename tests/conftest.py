@@ -46,10 +46,10 @@ def quiver_st(draw):
     return Quiver.from_edges(labels, arrows)
 
 
-def load_digest_tool():
-    """tools/catalog_digests.py as a module; tools/ is not a package."""
-    path = Path(__file__).parent.parent / "tools" / "catalog_digests.py"
-    spec = importlib.util.spec_from_file_location("catalog_digests", path)
+def load_tool(name: str):
+    """tools/<name>.py as a module; tools/ is not a package."""
+    path = Path(__file__).parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

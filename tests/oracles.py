@@ -1,7 +1,8 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here is deliberately written from scratch: plain Gauss elimination
-instead of fraction-free pivoting, Laplace minor expansion, a numpy box scan
+Everything here is deliberately written from scratch: the matrix product and
+sum by their textbook formulas, plain Gauss elimination instead of
+fraction-free pivoting, Laplace minor expansion, a numpy box scan
 for roots, and a hom/ext constraint system assembled in its own coordinate
 order.  The column-by-column commutation map is the library's earlier
 assembly, kept as the reference for the row-by-row one, and the column-space
@@ -89,6 +90,19 @@ def gauss_rref(rows: list[list], ncols: int, p: int | None = None) -> tuple[list
                 m[i] = [norm(a - f * b) for a, b in zip(m[i], m[top])]
         pivots.append(c)
     return m, pivots
+
+
+def matmul(A: Matrix, B: Matrix) -> Matrix:
+    """The product AB, each entry the textbook sum over the inner index."""
+    assert A.field == B.field and A.cols == B.rows
+    ents = [sum(A.entry(i, t) * B.entry(t, j) for t in range(A.cols)) for i in range(A.rows) for j in range(B.cols)]
+    return Matrix(A.field, A.rows, B.cols, ents)
+
+
+def matadd(A: Matrix, B: Matrix) -> Matrix:
+    """The entrywise sum A + B."""
+    assert A.field == B.field and (A.rows, A.cols) == (B.rows, B.cols)
+    return Matrix(A.field, A.rows, A.cols, [a + b for a, b in zip(A.entries, B.entries)])
 
 
 def det_laplace(rows: list[list]):

@@ -290,6 +290,8 @@ class TestUsageErrors:
             ["indec", "A2_linear", "--dim", "-1,2", "--field", "Q"],
             ["roots", "A2_linear", "--format", "xml"],
             ["classify", "A2_linear", "--seed", "x"],
+            ["verify-udr", "A2_linear", "--field", "F2", "--seed", "\u0661_0"],
+            ["verify-udr", "A2_linear", "--field", "F2", "--seed", "1_0"],
         ],
     )
     def test_usage_error_exit_6_one_line(self, files, argv):

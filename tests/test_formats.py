@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+import quiverrep.formats as formats
 from quiverrep import __version__
 from quiverrep.dynkin import build_quiver, kronecker_quiver
 from quiverrep.errors import ParseError
 from quiverrep.formats import (
     MAX_CHAR,
     MAX_DIM,
+    check_pair_size,
     parse_field,
     parse_quiver_file,
     parse_rep_file,
@@ -214,6 +216,19 @@ class TestRepFile:
         q = build_quiver("A", 2)
         _, rep = parse_rep_file(f"rep M over F2\ndim 1 = 00{MAX_DIM}\n", q)
         assert rep.dims == (MAX_DIM, 0)
+
+
+def test_pair_size_is_phi_size(monkeypatch):
+    """On linear A3, M = (1, 2, 3) to N = (2, 1, 1) gives Phi 1*1 + 2*1 = 3
+    rows (one block per arrow) by 1*2 + 2*1 + 3*1 = 7 columns (one per
+    vertex): 21 entries pass a bound of 21 and are refused at 20."""
+    q = build_quiver("A", 3)
+    m, n = Representation.from_maps(q, QQ, (1, 2, 3)), Representation.from_maps(q, QQ, (2, 1, 1))
+    monkeypatch.setattr(formats, "MAX_MAP_ENTRIES", 21)
+    check_pair_size(m, n)
+    monkeypatch.setattr(formats, "MAX_MAP_ENTRIES", 20)
+    with pytest.raises(ParseError, match="needs a 3x7 map, over the bound of 20 entries"):
+        check_pair_size(m, n)
 
 
 class TestReportJSON:

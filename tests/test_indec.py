@@ -25,7 +25,7 @@ from quiverrep.quiver import Quiver, classify
 from quiverrep.rep import Representation, hom_ext_dims, is_isomorphic, is_schur
 from quiverrep.roots import positive_roots, simple_reflection
 
-from conftest import load_digest_tool, run_cli
+from conftest import load_tool, run_cli
 from oracles import reflect_at_sink_by_kernel_inclusion, reflect_at_source_by_projection
 
 F2 = Field(2)
@@ -48,7 +48,7 @@ SHIPPED_FINITE = sorted(
 )
 
 
-digests = load_digest_tool()
+digests = load_tool("catalog_digests")
 # sha256 of each shipped catalog's .rep bytes, written by tools/catalog_digests.py
 CATALOG_SHA256 = json.loads(digests.GOLDEN.read_text(encoding="utf-8"))
 

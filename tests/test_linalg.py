@@ -14,6 +14,9 @@ from quiverrep.linalg import (
     _RESIDUE_PRIME,
     _back_substitute,
     _echelon,
+    _integer_dict_rows,
+    _rank_lower_bound,
+    _rank_mod,
     _rank_of,
     _sparse_rows,
     _unit_phase,
@@ -27,7 +30,7 @@ from quiverrep.linalg import (
     solve,
 )
 
-from oracles import gauss_rank, gauss_rref, rank_by_minors
+from oracles import gauss_rank, gauss_rref, matmul, rank_by_minors
 
 F2 = Field(2)
 F5 = Field(5)
@@ -89,7 +92,7 @@ class TestKernel:
         a = mat(F5, [[1, 2, 3], [4, 0, 1]])
         for v in kernel_basis(a):
             col = Matrix(F5, 3, 1, v)
-            assert (a @ col).is_zero()
+            assert matmul(a, col).is_zero()
 
 
 class TestCokernel:
@@ -166,7 +169,7 @@ def test_kernel_exactness_and_rref_idempotence(rows):
     for field in (QQ, F2):
         a = Matrix.from_rows(field, rows)
         for v in kernel_basis(a):
-            assert (a @ Matrix(field, a.cols, 1, v)).is_zero()
+            assert matmul(a, Matrix(field, a.cols, 1, v)).is_zero()
         r1, piv1 = rref(a)
         r2, piv2 = rref(r1)
         assert r1 == r2 and piv1 == piv2
@@ -181,10 +184,10 @@ def test_solve_verifies_by_substitution(rows, xs):
     for field in (QQ, F5):
         a = Matrix.from_rows(field, rows)
         x = Matrix(field, a.cols, 1, [field.canon(v) for v in xs[: a.cols]])
-        b = a @ x
+        b = matmul(a, x)
         got = solve(a, b.entries)
         assert got is not None
-        assert a @ Matrix(field, a.cols, 1, got) == b
+        assert matmul(a, Matrix(field, a.cols, 1, got)) == b
 
 
 def test_rational_entries_reduced():
@@ -453,7 +456,8 @@ def engine_matrices(draw):
 @given(data=engine_matrices())
 def test_rank_engine_matches_the_direct_elimination(data):
     """`_rank_of` equals the rank of `_echelon` over Q (Fraction entries), F2,
-    F3 and F101; with exact=False it is a lower bound, exact over F_p."""
+    F3 and F101, and so does `_rank_mod` over Z on the rows made integral;
+    `_rank_lower_bound` is a lower bound, exact over F_p."""
     rows, ncols = data
     for field in (QQ, F2, Field(3), Field(101)):
         if field.char and any(Fraction(x).denominator % field.char == 0 for r in rows for x in r):
@@ -462,8 +466,10 @@ def test_rank_engine_matches_the_direct_elimination(data):
         want = len(_echelon(field, a.row_lists(), ncols))
         bound = min(a.rows, a.cols)
         assert _rank_of(field, _sparse_rows(a), bound) == want
-        lower = _rank_of(field, _sparse_rows(a), bound, exact=False)
+        lower = _rank_lower_bound(field, _sparse_rows(a), bound)
         assert lower == want if field.char else lower <= want
+        if not field.char:
+            assert _rank_mod(_integer_dict_rows(_sparse_rows(a)), 0, bound) == want
         assert rank(a) == want
 
 
@@ -498,7 +504,7 @@ def test_rank_lost_mod_the_residue_prime_comes_from_bareiss(monkeypatch):
     which Bareiss settles."""
     q = _RESIDUE_PRIME
     a = mat(QQ, [[1, 2], [3, 6 + q]])
-    assert _rank_of(QQ, _sparse_rows(a), 2, exact=False) == 1
+    assert _rank_lower_bound(QQ, _sparse_rows(a), 2) == 1
     assert rank(mat(Field(q), [[1, 2], [3, 6 + q]])) == 1
     calls = _recording_bareiss(monkeypatch)
     assert rank(a) == 2
@@ -507,13 +513,18 @@ def test_rank_lost_mod_the_residue_prime_comes_from_bareiss(monkeypatch):
 
 
 def test_a_bound_below_min_rows_cols_ends_the_search(monkeypatch):
-    """Rank 2 on a 3x3 matrix: min(rows, cols) = 3 needs the Bareiss
-    fallback, while the bound 2 (as the identity gives an End map) is met
-    by the unit pivots alone."""
+    """Rank 2 on a 3x3 matrix: min(rows, cols) = 3 needs the fallback over Z,
+    while the bound 2 (as the identity gives an End map) is met by the
+    residue-prime rank alone.  Over Z the unit pivots leave an empty
+    residual, so Bareiss never runs."""
     rows = [[1, 1, 0], [0, 1, 1], [1, 2, 1]]
     a = mat(QQ, rows)
     calls = _recording_bareiss(monkeypatch)
+    primes = []
+    rank_mod = linalg._rank_mod
+    monkeypatch.setattr(linalg, "_rank_mod", lambda rows, p, bound: primes.append(p) or rank_mod(rows, p, bound))
     assert _rank_of(QQ, _sparse_rows(a), 2) == 2
-    assert calls == []
+    assert primes == [_RESIDUE_PRIME]
     assert _rank_of(QQ, _sparse_rows(a), 3) == 2
-    assert len(calls) == 1
+    assert primes == [_RESIDUE_PRIME, _RESIDUE_PRIME, 0]
+    assert calls == []

@@ -45,8 +45,8 @@ from quiverrep.rep import (
     isomorphism_verdict,
 )
 
-from conftest import load_digest_tool
-from oracles import columnwise_commutation_map, naive_hom_ext
+from conftest import load_tool
+from oracles import columnwise_commutation_map, matmul, naive_hom_ext
 
 F2 = Field(2)
 F3 = Field(3)
@@ -282,8 +282,8 @@ def test_morphism_bases_satisfy_commutation_exactly(data):
     m, n = random_rep(q, field, rng), random_rep(q, field, rng)
     for u in hom_space(m, n).basis:
         for k, a in enumerate(q.arrows):
-            left = u[a.target] @ m.maps[k]
-            right = n.maps[k] @ u[a.source]
+            left = matmul(u[a.target], m.maps[k])
+            right = matmul(n.maps[k], u[a.source])
             assert left == right
 
 
@@ -405,30 +405,37 @@ def test_certificates_on_random_pairs_and_the_zero_map_control():
 
 def test_is_coboundary_builds_phi_once_when_phi_is_not_onto(monkeypatch):
     """The zero-map control and a D5 pair over Q with Ext^1 = 1: Phi is not
-    onto, so the answer needs a solve, which runs on the rows of the one
-    `_phi_rows` call and never on a dense `commutation_map`."""
+    onto, so the answer needs a solve, which runs once, on the rows of the
+    one `_phi_rows` call and never on a dense `commutation_map`.  End of the
+    brick m, with Ext^1 = 0, has an onto Phi: full row rank answers it with
+    no solve."""
     q = build_quiver("D", 5)
     one = Matrix(QQ, 1, 1, [1])
     m = Representation.from_maps(q, QQ, (1, 1, 1, 0, 0), {"a1": one, "a2": one})
     n = Representation.from_maps(q, QQ, (0, 1, 1, 1, 0), {"a2": one, "a3": one})
     zero = Representation.from_maps(q, QQ, (1, 2, 2, 1, 1))
+    assert hom_ext_dims(m, m) == (1, 0)
     assert hom_ext_dims(m, n) == (0, 1) and hom_ext_dims(zero, zero)[1] > 0
     # (m, n): Phi is [[-1, 0], [1, -1], [0, 1]]; its first column is a coboundary
     cases = [
-        (m, n, [1, 0, 0], False),
-        (m, n, [-1, 1, 0], True),
-        (zero, zero, [1] * 10, False),
-        (zero, zero, [0] * 10, True),
+        (m, m, [1, 2], True, 0),
+        (m, n, [1, 0, 0], False, 1),
+        (m, n, [-1, 1, 0], True, 1),
+        (zero, zero, [1] * 10, False, 1),
+        (zero, zero, [0] * 10, True, 1),
     ]
-    cases = [(M, N, rep._split(vec, rep._blocks(M, N)[1][0], QQ), verdict) for M, N, vec, verdict in cases]
-    calls = []
-    phi_rows = rep._phi_rows
+    cases = [(M, N, rep._split(vec, rep._blocks(M, N)[1][0], QQ), *rest) for M, N, vec, *rest in cases]
+    calls, solves = [], []
+    phi_rows, sparse_solve = rep._phi_rows, rep._sparse_solve
     monkeypatch.setattr(rep, "_phi_rows", lambda M, N: calls.append((M, N)) or phi_rows(M, N))
+    monkeypatch.setattr(rep, "_sparse_solve", lambda *args: solves.append(args) or sparse_solve(*args))
     monkeypatch.setattr(rep, "commutation_map", _never_dense)
-    for M, N, eta, verdict in cases:
+    for M, N, eta, verdict, solve_count in cases:
         calls.clear()
+        solves.clear()
         assert is_coboundary(M, N, eta) is verdict
         assert calls == [(M, N)]
+        assert len(solves) == solve_count
 
 
 def _never_dense(*args):
@@ -438,7 +445,7 @@ def _never_dense(*args):
 def test_basis_digests_match_the_golden_file():
     """hom_space bases, ext1_space cocycles and is_coboundary verdicts on the
     seeded pairs of tools/catalog_digests.py hash to the recorded digests."""
-    digests = load_digest_tool()
+    digests = load_tool("catalog_digests")
     assert digests.basis_digests() == json.loads(digests.BASES_GOLDEN.read_text(encoding="utf-8"))
 
 

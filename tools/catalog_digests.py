@@ -74,6 +74,12 @@ def _random_rep(q: Quiver, field: Field, rng: random.Random) -> Representation:
     return Representation(q, field, dims, maps)
 
 
+def _product(A: Matrix, B: Matrix) -> Matrix:
+    """The matrix product AB, each entry the sum over the inner index."""
+    ents = [sum(A.entry(i, t) * B.entry(t, j) for t in range(A.cols)) for i in range(A.rows) for j in range(B.cols)]
+    return Matrix(A.field, A.rows, B.cols, ents)
+
+
 def _cocycles(M: Representation, N: Representation, rng: random.Random) -> list[list[Matrix]]:
     """Zero, a random cocycle, and the coboundary of a random u."""
     field, arrows = M.field, M.quiver.arrows
@@ -81,7 +87,7 @@ def _cocycles(M: Representation, N: Representation, rng: random.Random) -> list[
     zero = [Matrix.zeros(field, r, c) for r, c in shapes]
     rand = [Matrix(field, r, c, [_entry(field, rng) for _ in range(r * c)]) for r, c in shapes]
     u = [Matrix(field, n, m, [_entry(field, rng) for _ in range(n * m)]) for m, n in zip(M.dims, N.dims)]
-    cob = [g @ u[a.source] - u[a.target] @ f for a, f, g in zip(arrows, M.maps, N.maps)]
+    cob = [_product(g, u[a.source]) - _product(u[a.target], f) for a, f, g in zip(arrows, M.maps, N.maps)]
     return [zero, rand, cob]
 
 
