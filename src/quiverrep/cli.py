@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .deform import UDRVerdict, udr_report
@@ -75,56 +76,50 @@ def _error(message) -> None:
     print(f"error: {text}", file=sys.stderr)
 
 
-def _load_quiver(path: str):
-    return parse_quiver_file(_read(path))
-
-
 def _fmt_root(root) -> str:
     return ",".join(str(c) for c in root)
 
 
+def _report(args, command: str, Q, field, result: dict, lines: list[str]) -> None:
+    """Write `result` as the JSON report of `command` under `--format json`,
+    else the table `lines`."""
+    if args.format == "json":
+        sys.stdout.write(report_json(command, Q.name, field, result))
+    else:
+        print("\n".join(lines))
+
+
 def _cmd_classify(args) -> int:
-    Q = _load_quiver(args.quiverfile)
+    Q = parse_quiver_file(_read(args.quiverfile))
     verdict = classify(Q)
     if verdict.finite:
         result = {"finite": True, "components": [str(t) for t in verdict.components]}
+        lines = ["verdict: finite representation type", "components: " + " ".join(result["components"])]
     else:
         result = {"finite": False, "witness": verdict.witness}
-    if args.format == "json":
-        sys.stdout.write(report_json("classify", Q.name, None, result))
-    else:
-        print(f"quiver: {Q.name}")
-        if verdict.finite:
-            print("verdict: finite representation type")
-            print("components: " + " ".join(str(t) for t in verdict.components))
-        else:
-            print("verdict: infinite representation type")
-            print(f"reason: {verdict.witness}")
+        lines = ["verdict: infinite representation type", f"reason: {verdict.witness}"]
+    _report(args, "classify", Q, None, result, [f"quiver: {Q.name}", *lines])
     if not verdict.finite:
         _error(f"infinite representation type: {verdict.witness}")
     return EXIT_OK if verdict.finite else EXIT_INFINITE
 
 
 def _cmd_roots(args) -> int:
-    Q = _load_quiver(args.quiverfile)
+    Q = parse_quiver_file(_read(args.quiverfile))
     roots = positive_roots(Q)
     result = {"count": len(roots), "roots": [list(r) for r in roots]}
-    if args.format == "json":
-        sys.stdout.write(report_json("roots", Q.name, None, result))
-    else:
-        print(f"quiver: {Q.name}")
-        print(f"positive roots ({len(roots)}):")
-        for r in roots:
-            print(_fmt_root(r))
+    lines = [f"quiver: {Q.name}", f"positive roots ({len(roots)}):", *map(_fmt_root, roots)]
+    _report(args, "roots", Q, None, result, lines)
     return EXIT_OK
 
 
 def _seed(text: str) -> int:
     """`--seed`: an ASCII integer `[+-]?[0-9]+`, as `--dim` reads its
     coordinates; anything else is a usage error."""
-    if not _INTEGER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if _INTEGER.fullmatch(text):
+        with suppress(ValueError):  # more digits than int() accepts
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_dim(text: str, expected: int):
@@ -142,7 +137,7 @@ def _parse_dim(text: str, expected: int):
 
 
 def _cmd_indec(args) -> int:
-    Q = _load_quiver(args.quiverfile)
+    Q = parse_quiver_file(_read(args.quiverfile))
     field = parse_field(args.field)
     d = _parse_dim(args.dim, Q.vertex_count)
     rep = construct_indecomposable(Q, d, field)
@@ -152,7 +147,7 @@ def _cmd_indec(args) -> int:
 
 
 def _cmd_ext(args) -> int:
-    Q = _load_quiver(args.quiverfile)
+    Q = parse_quiver_file(_read(args.quiverfile))
     _, src = parse_rep_file(_read(args.src), Q)
     _, dst = parse_rep_file(_read(args.dst), Q)
     if src.field != dst.field:
@@ -167,67 +162,48 @@ def _cmd_ext(args) -> int:
             f"Euler identity failed: {hom} - {ext} != {euler}"
         )
     result = {"hom_dim": hom, "ext_dim": ext, "euler_form": euler}
-    if args.format == "json":
-        sys.stdout.write(report_json("ext", Q.name, src.field, result))
-    else:
-        print(f"quiver: {Q.name}")
-        print(f"field: {src.field}")
-        print(f"dim Hom = {hom}")
-        print(f"dim Ext1 = {ext}")
-        print(f"euler form = {euler}")
+    lines = [f"quiver: {Q.name}", f"field: {src.field}"]
+    lines += [f"dim Hom = {hom}", f"dim Ext1 = {ext}", f"euler form = {euler}"]
+    _report(args, "ext", Q, src.field, result, lines)
     return EXIT_OK
 
 
-def _udr_entry(root, report) -> dict:
-    return {
-        "root": list(root),
-        "end_dim": report.end_dim,
-        "ext_dim": report.ext_dim,
-        "verdict": report.verdict.value,
-    }
-
-
-def _udr_line(root, report) -> str:
-    return f"root {_fmt_root(root)}: end={report.end_dim} ext={report.ext_dim} {report.describe()}"
-
-
 def _cmd_verify_udr(args) -> int:
-    Q = _load_quiver(args.quiverfile)
+    Q = parse_quiver_file(_read(args.quiverfile))
     field = parse_field(args.field)
-    if args.dim is not None:
+    if args.dim is None:
+        modules = all_indecomposables(Q, field).entries
+    else:
         d = _parse_dim(args.dim, Q.vertex_count)
-        rep = construct_indecomposable(Q, d, field)
+        modules = [(d, construct_indecomposable(Q, d, field))]
+    entries, lines, verified = [], [f"quiver: {Q.name} over {field}"], 0
+    for root, rep in modules:
         report = udr_report(Q, rep)
-        if args.format == "json":
-            sys.stdout.write(report_json("verify-udr", Q.name, field, _udr_entry(d, report)))
-        else:
-            print(f"quiver: {Q.name} over {field}")
-            print(_udr_line(d, report))
-        if report.verdict is UDRVerdict.ISOMORPHIC_TO_K:
-            return EXIT_OK
-        _error(f"root {_fmt_root(d)} violates the theorem")
-        return EXIT_INTERNAL
-    catalog = all_indecomposables(Q, field)
-    reports = [(root, udr_report(Q, rep)) for root, rep in catalog.entries]
-    verified = sum(report.verdict is UDRVerdict.ISOMORPHIC_TO_K for _, report in reports)
-    total = len(reports)
-    if args.format == "json":
+        verified += report.verdict is UDRVerdict.ISOMORPHIC_TO_K
+        entries.append({
+            "root": list(root),
+            "end_dim": report.end_dim,
+            "ext_dim": report.ext_dim,
+            "verdict": report.verdict.value,
+        })
+        lines.append(f"root {_fmt_root(root)}: end={report.end_dim} ext={report.ext_dim} {report.describe()}")
+    total = len(entries)
+    if args.dim is None:
         result = {
-            "entries": [_udr_entry(root, report) for root, report in reports],
+            "entries": entries,
             "total": total,
             "verified": verified,
             "theorem_holds": verified == total,
         }
-        sys.stdout.write(report_json("verify-udr", Q.name, field, result))
+        lines.append(f"THEOREM VERIFIED: {verified}/{total} indecomposables have R(kQ,M) ≅ k")
+        failure = f"{total - verified} indecomposable(s) violate the theorem"
     else:
-        print(f"quiver: {Q.name} over {field}")
-        for root, report in reports:
-            print(_udr_line(root, report))
-        print(f"THEOREM VERIFIED: {verified}/{total} indecomposables have R(kQ,M) ≅ k")
+        result = entries[0]
+        failure = f"root {_fmt_root(d)} violates the theorem"
+    _report(args, "verify-udr", Q, field, result, lines)
     if verified != total:
-        _error(f"{total - verified} indecomposable(s) violate the theorem")
-        return EXIT_INTERNAL
-    return EXIT_OK
+        _error(failure)
+    return EXIT_OK if verified == total else EXIT_INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,9 +33,9 @@ entry plus a 15 MB base, which keeps it near the 113 MB of the largest
 catalog that MAX_VERTICES admits.  Two A20 files of dim 10 (a 1900 x 2000
 map) peaked at 20-24 MB over F101 and over Q on a 2-core VM under
 Python 3.11, against 102 MB for the dense map.  The bound is on memory, not
-time, but time now follows the map's sparsity: over Q with random entries
-in [-3, 3], the 1216 x 1280 map of two A20 files of dim 8 took 63 s to 79 s
-when Bareiss ran on it whole, and `ext` now takes 0.3 s.  Every pair of
+time; time follows the map's sparsity: over Q with random entries in
+[-3, 3], `ext` on two A20 files of dim 8 (a 1216 x 1280 map) takes 0.3 s.
+Every pair of
 indecomposables on an accepted quiver passes with room to spare: every
 positive root lies below the highest root, so the largest such map is that
 of the D80 highest root with itself, 310 x 311.  A field token F<p>

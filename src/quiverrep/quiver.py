@@ -90,10 +90,10 @@ class Quiver(Value):
         return len(self.labels)
 
     def is_sink(self, i: int) -> bool:
-        return all(a.source != i for a in self.arrows)
+        return not self.outgoing[i]
 
     def is_source(self, i: int) -> bool:
-        return all(a.target != i for a in self.arrows)
+        return not self.incoming[i]
 
     def reverse_arrows_at(self, i: int) -> "Quiver":
         """Flip every arrow incident to vertex i, keeping ids and order."""
@@ -244,28 +244,22 @@ def _classify_component(Q: Quiver, comp: list[int]) -> DynkinType | str:
             return f"parallel arrows between '{Q.labels[u]}' and '{Q.labels[v]}'"
     if len(edges) != len(comp) - 1:
         return f"cycle in the component containing '{label}'"
-    deg = {v: 0 for v in comp}
-    neighbors: dict[int, list[int]] = {v: [] for v in comp}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    branch = [v for v in comp if deg[v] >= 3]
+    # a tree without loops or parallel arrows: each neighbour is one edge
+    neighbours = Q.neighbours
+    branch = [v for v in comp if len(neighbours[v]) >= 3]
     if not branch:
         return DynkinType("A", len(comp))
     if len(branch) > 1:
         return f"two branch vertices in the component containing '{label}'"
     center = branch[0]
-    if deg[center] > 3:
-        return f"vertex '{Q.labels[center]}' has degree {deg[center]}"
+    if len(neighbours[center]) > 3:
+        return f"vertex '{Q.labels[center]}' has degree {len(neighbours[center])}"
     legs = []
-    for first in neighbors[center]:
+    for first, _ in neighbours[center]:
         length = 1
         prev, cur = center, first
-        while deg[cur] == 2:
-            nxt = next(w for w in neighbors[cur] if w != prev)
-            prev, cur = cur, nxt
+        while len(neighbours[cur]) == 2:
+            prev, cur = cur, next(w for w, _ in neighbours[cur] if w != prev)
             length += 1
         legs.append(length)
     p, q, r = sorted(legs)

@@ -17,7 +17,11 @@ from quiverrep.linalg import Matrix
 from quiverrep.rep import hom_ext_dims, is_schur
 from quiverrep.roots import positive_roots
 
-from conftest import run_cli
+from conftest import load_tool, run_cli
+
+# The most digits int() reads from a string; 0 where there is no limit
+# (before Python 3.10.7, or with PYTHONINTMAXSTRDIGITS=0).
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture()
@@ -292,6 +296,9 @@ class TestUsageErrors:
             ["classify", "A2_linear", "--seed", "x"],
             ["verify-udr", "A2_linear", "--field", "F2", "--seed", "\u0661_0"],
             ["verify-udr", "A2_linear", "--field", "F2", "--seed", "1_0"],
+            ["classify", "A2_linear", "extra"],
+            ["indec", "A2_linear", "--dim", "1,1"],
+            ["ext", "A2_linear", "--from", "A2_linear"],
         ],
     )
     def test_usage_error_exit_6_one_line(self, files, argv):
@@ -300,6 +307,13 @@ class TestUsageErrors:
         assert code == 6
         assert out == ""
         assert err.startswith("error: quiverrep") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() has no digit limit in this interpreter")
+    def test_overlong_seed_is_an_invalid_int_value(self, files):
+        seed = "9" * (INT_MAX_STR_DIGITS + 1)
+        code, out, err = run_cli(["roots", files["A2_linear"], "--seed", seed])
+        assert (code, out) == (6, "")
+        assert err == f"error: quiverrep roots: argument --seed: invalid int value: {seed!r}\n"
 
     def test_help_still_exits_0(self):
         with pytest.raises(SystemExit) as exc:
@@ -345,6 +359,12 @@ class TestDeterminism:
     def test_roots_byte_identical(self, files):
         argv = ["roots", files["D4_linear"], "--format", "json"]
         assert run_cli(argv)[1] == run_cli(argv)[1]
+
+    def test_transcript_matches_the_golden_file(self):
+        """Exit code, stdout and stderr of the fixed transcript of
+        tools/catalog_digests.py hash to the recorded digests."""
+        digests = load_tool("catalog_digests")
+        assert digests.cli_digests() == json.loads(digests.CLI_GOLDEN.read_text(encoding="utf-8"))
 
 
 class TestShippedQuivers:

@@ -90,7 +90,7 @@ def argvs(draw):
     if command != "indec" and draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["table", "json", "xml"]))]
     if draw(st.booleans()):
-        argv += ["--seed", draw(st.sampled_from(["0", "7", "x", "\u0661_0", "1_0"]))]
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "x", "\u0661_0", "1_0", "9" * 5000]))]
     for _ in range(draw(st.integers(0, 2))):
         op = draw(st.sampled_from(["drop", "duplicate", "splice", "insert"]))
         k = draw(st.integers(0, len(argv) - 1))

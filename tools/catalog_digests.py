@@ -11,19 +11,39 @@ The basis digests go to tests/golden/basis_sha256.json, keyed by quiver and
 field: the sha256 of the `repr` of every `hom_space` basis, every
 `ext1_space` cocycle and every `is_coboundary` verdict on seeded random
 pairs, so a change to those bytes shows even when the `rep` functions and
-their `linalg` counterparts drift together.  Run from the repository root:
+their `linalg` counterparts drift together.
+
+The CLI digests go to tests/golden/cli_sha256.json: the sha256 of the exit
+code, stdout and stderr of each call of a fixed transcript, run in process
+in a scratch directory that holds a copy of `quivers/` and the input files
+of CLI_FILES.  The transcript runs `classify` and `roots` in table and
+json, `verify-udr --field F2` as a table, `verify-udr --field Q` as json and
+`verify-udr --dim 1` on every shipped quiver file, then the fixed calls of
+CLI_CALLS (`indec`, `ext`, `verify-udr --dim`, the exit 1/2/3/4/6 paths).
+Usage errors that argparse words itself (an unknown command or choice, a
+missing or unrecognized argument) are left out, since that wording changes
+between Python releases; tests/test_cli.py checks their exit code and
+`error:` line instead.
+Digests are keyed by quiver file name, or `fixed`, and then by the call's
+arguments joined with spaces.  Run from the repository root:
 
     PYTHONPATH=src python tools/catalog_digests.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import shutil
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from quiverrep.cli import main as cli_main
 from quiverrep.dynkin import build_quiver
 from quiverrep.formats import parse_field, parse_quiver_file, rep_file_text
 from quiverrep.indec import IndecCatalog, all_indecomposables
@@ -42,6 +62,56 @@ LOOPS_AND_TWO_CYCLE = Quiver.from_edges(
 )
 BASIS_QUIVERS = (build_quiver("E", 7, "alternating"), build_quiver("E", 8), LOOPS_AND_TWO_CYCLE)
 PAIRS = 6
+CLI_GOLDEN = ROOT / "tests" / "golden" / "cli_sha256.json"
+# The .rep and .quiver inputs of CLI_CALLS; a3 files are over A3_linear (1 -> 2 -> 3).
+CLI_FILES = {
+    "a3_m.rep": "rep M over Q\ndim 1 = 1\ndim 2 = 1\ndim 3 = 1\nmap a1 = [[1]]\nmap a2 = [[1]]\n",
+    "a3_n.rep": "rep N over Q\ndim 2 = 1\ndim 3 = 1\nmap a2 = [[1]]\n",
+    "a3_big.rep": "rep B over Q\ndim 1 = 2\ndim 2 = 2\ndim 3 = 2\nmap a1 = [[1/2,-3],[0,7]]\nmap a2 = [[2,1],[4,2]]\n",
+    "a3_f3.rep": "rep P over F3\ndim 1 = 1\ndim 2 = 2\nmap a1 = [[2],[1]]\n",
+    "a3_bad_dim.rep": "rep X over Q\ndim 1 = x\n",
+    "a3_bad_field.rep": "rep X over F4\n",
+    "a3_bad_arrow.rep": "rep X over Q\ndim 1 = 1\nmap b9 = [[1]]\n",
+    "bad.quiver": "quiver bad\nvertices: a a\n",
+}
+CLI_CALLS = (
+    "indec quivers/a3_linear.quiver --dim 1,1,1 --field Q",
+    "indec quivers/a3_reversed.quiver --dim 0,1,1 --field F2",
+    "indec quivers/d4_alternating.quiver --dim 1,2,1,1 --field F3",
+    "indec quivers/e8_linear.quiver --dim 2,3,4,5,6,4,2,3 --field Q",
+    "indec quivers/e8_sinkheavy.quiver --dim 2,3,4,5,6,4,2,3 --field F101",
+    "indec quivers/a3_linear.quiver --dim 1,0,1 --field Q",
+    "indec quivers/a3_linear.quiver --dim 1,x,1 --field Q",
+    "indec quivers/a3_linear.quiver --dim 1,1 --field Q",
+    "indec quivers/a3_linear.quiver --dim 1,1,1 --field F4",
+    "indec quivers/kronecker.quiver --dim 1,1 --field Q",
+    "ext quivers/a3_linear.quiver --from a3_m.rep --to a3_n.rep",
+    "ext quivers/a3_linear.quiver --from a3_n.rep --to a3_m.rep --format json",
+    "ext quivers/a3_linear.quiver --from a3_big.rep --to a3_big.rep",
+    "ext quivers/a3_linear.quiver --from a3_big.rep --to a3_m.rep --format json",
+    "ext quivers/a3_linear.quiver --from a3_f3.rep --to a3_f3.rep --format json",
+    "ext quivers/a3_linear.quiver --from a3_m.rep --to a3_f3.rep",
+    "ext quivers/a3_linear.quiver --from a3_bad_dim.rep --to a3_m.rep",
+    "ext quivers/a3_linear.quiver --from a3_m.rep --to a3_bad_field.rep",
+    "ext quivers/a3_linear.quiver --from a3_bad_arrow.rep --to a3_m.rep",
+    "ext quivers/a3_linear.quiver --from missing.rep --to a3_m.rep",
+    "verify-udr quivers/a3_linear.quiver --field Q --dim 0,1,1",
+    "verify-udr quivers/a3_linear.quiver --field F2 --dim 1,1,1 --format json",
+    "verify-udr quivers/e8_alternating.quiver --field F3 --dim 2,3,4,5,6,4,2,3",
+    "verify-udr quivers/e8_linear.quiver --field Q --dim 2,3,4,5,6,4,2,3 --format json",
+    "verify-udr quivers/a3_linear.quiver --field Q --dim 1,0,1",
+    "verify-udr quivers/a3_linear.quiver --field Q --dim 1,0,1 --format json",
+    "verify-udr quivers/a3_linear.quiver --field Q --dim 1,-1,1",
+    "verify-udr quivers/kronecker.quiver --field Q --dim 1,1",
+    "verify-udr quivers/a3_linear.quiver --field F6",
+    "classify missing.quiver",
+    "classify quivers",
+    "classify bad.quiver",
+    "roots bad.quiver --format json",
+    "classify quivers/a3_linear.quiver --seed x",
+    "classify quivers/a3_linear.quiver --seed 1_0",
+    "classify quivers/a3_linear.quiver --seed -12",
+)
 
 
 def catalog_digest(catalog: IndecCatalog) -> str:
@@ -126,6 +196,43 @@ def basis_digests() -> dict[str, dict[str, str]]:
     return out
 
 
+def _cli_digest(args: str) -> str:
+    """Hex sha256 of the exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(args.split())
+    return _sha((code, out.getvalue(), err.getvalue()))
+
+
+def _shipped_calls(name: str) -> list[str]:
+    path = f"quivers/{name}"
+    return [
+        f"classify {path}",
+        f"classify {path} --format json",
+        f"roots {path}",
+        f"roots {path} --format json",
+        f"verify-udr {path} --field F2",
+        f"verify-udr {path} --field Q --format json",
+        f"verify-udr {path} --field Q --dim 1",
+    ]
+
+
+def cli_digests() -> dict[str, dict[str, str]]:
+    """Digest of each call of the CLI transcript, by quiver file or `fixed`."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            shutil.copytree(ROOT / "quivers", "quivers")
+            for name, text in CLI_FILES.items():
+                Path(name).write_text(text, encoding="utf-8")
+            out = {p.name: {a: _cli_digest(a) for a in _shipped_calls(p.name)} for p in sorted(Path("quivers").iterdir())}
+            out["fixed"] = {a: _cli_digest(a) for a in CLI_CALLS}
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def _write(path: Path, digests: dict) -> None:
     path.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {sum(map(len, digests.values()))} digests to {path}")
@@ -134,6 +241,7 @@ def _write(path: Path, digests: dict) -> None:
 def main() -> None:
     _write(GOLDEN, catalog_digests())
     _write(BASES_GOLDEN, basis_digests())
+    _write(CLI_GOLDEN, cli_digests())
 
 
 if __name__ == "__main__":

@@ -1,0 +1,186 @@
+"""Rerun the recorded mutation checks: each mutation must make its tests fail.
+
+MUTATIONS lists one entry per mutation: a name, the file it changes, the
+exact old text (which must occur exactly once in that file), the new text,
+and the ids of the tests expected to fail on it.  For each mutation the
+harness copies the tree (src, tests, tools, quivers, pyproject.toml) to a
+temporary directory, applies the mutation there and runs only its listed
+tests.  A mutation is killed when pytest reports failures (exit 1); it
+survives when the tests pass, and any other pytest exit (a test id that is
+not found, a collection error) is reported as an error.  Nothing in the
+checkout is modified.  Run from the repository root:
+
+    python tools/mutations.py
+
+The exit status is 0 when every old text matches exactly once and every
+mutation is killed, else 1.  Only the standard library is used, apart
+from the pytest that the tests run under.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "tools", "quivers", "pyproject.toml")
+
+CLI = "src/quiverrep/cli.py"
+LINALG = "src/quiverrep/linalg.py"
+REP = "src/quiverrep/rep.py"
+QUIVER = "src/quiverrep/quiver.py"
+CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
+
+# (name, file, old text, new text, test ids expected to fail)
+MUTATIONS = [
+    (
+        "report-json-table-swapped",
+        CLI,
+        'if args.format == "json":',
+        'if args.format != "json":',
+        ["tests/test_cli.py::TestClassify", CLI_GOLDEN],
+    ),
+    (
+        "udr-failure-count-inverted",
+        CLI,
+        "verified += report.verdict is UDRVerdict.ISOMORPHIC_TO_K",
+        "verified += report.verdict is not UDRVerdict.ISOMORPHIC_TO_K",
+        ["tests/test_cli.py::TestVerifyUDR", CLI_GOLDEN],
+    ),
+    (
+        "udr-theorem-line-dropped",
+        CLI,
+        '        lines.append(f"THEOREM VERIFIED: {verified}/{total} indecomposables have R(kQ,M) ≅ k")\n',
+        "",
+        ["tests/test_cli.py::TestVerifyUDR", CLI_GOLDEN],
+    ),
+    (
+        "udr-dim-result-as-list",
+        CLI,
+        "result = entries[0]",
+        "result = entries",
+        [CLI_GOLDEN],
+    ),
+    (
+        "seed-type-int",
+        CLI,
+        '"--seed", type=_seed,',
+        '"--seed", type=int,',
+        ["tests/test_cli.py::TestUsageErrors::test_usage_error_exit_6_one_line"],
+    ),
+    (
+        "seed-overlong-not-caught",
+        CLI,
+        "with suppress(ValueError):",
+        "with suppress():",
+        ["tests/test_cli.py::TestUsageErrors::test_overlong_seed_is_an_invalid_int_value"],
+    ),
+    (
+        "coboundary-without-full-rank-answer",
+        REP,
+        "    if cod <= dom and _full_rank(M.field, phi_rows, cod):\n        return True\n",
+        "",
+        ["tests/test_rep.py::test_is_coboundary_builds_phi_once_when_phi_is_not_onto"],
+    ),
+    (
+        "z-pipeline-without-bareiss",
+        LINALG,
+        "if done >= bound or not rest:",
+        "if done >= bound or not rest or not p:",
+        [
+            "tests/test_linalg.py::test_rank_engine_matches_the_direct_elimination",
+            "tests/test_linalg.py::test_rank_lost_mod_the_residue_prime_comes_from_bareiss",
+        ],
+    ),
+    (
+        "z-fallback-on-every-rational-rank",
+        LINALG,
+        "return r if field.char or r == bound else _rank_mod(rows, 0, bound)",
+        "return r if field.char else _rank_mod(rows, 0, bound)",
+        ["tests/test_rep.py::test_full_rank_rational_pair_needs_no_bareiss"],
+    ),
+    (
+        "pair-size-from-m-alone",
+        "src/quiverrep/formats.py",
+        "(_, cols), (_, rows) = _blocks(M, N)",
+        "(_, cols), (_, rows) = _blocks(M, M)",
+        ["tests/test_formats.py::test_pair_size_is_phi_size"],
+    ),
+    (
+        "sink-reads-incoming",
+        QUIVER,
+        "return not self.outgoing[i]",
+        "return not self.incoming[i]",
+        ["tests/test_indec.py::TestReflectAtSink"],
+    ),
+    (
+        "legs-counted-from-zero",
+        QUIVER,
+        "        length = 1\n",
+        "        length = 0\n",
+        ["tests/test_quiver.py::TestClassify"],
+    ),
+]
+
+
+def check_texts(mutations=MUTATIONS) -> dict[str, str]:
+    """By mutation name, what is wrong with each mutation whose old text does
+    not occur exactly once in its file, or equals its new text."""
+    problems = {}
+    for name, path, old, new, _ in mutations:
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems[name] = f"old text occurs {count} times in {path}"
+        elif old == new:
+            problems[name] = "old and new text are equal"
+    return problems
+
+
+def run_mutation(path: str, old: str, new: str, tests: list[str]) -> tuple[str, str]:
+    """Apply one mutation to a fresh copy of the tree and run its tests:
+    ('killed' | 'survived' | 'error', pytest's last output line)."""
+    with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
+        for part in COPIED:
+            src, dst = ROOT / part, Path(tmp) / part
+            if src.is_dir():
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, dst)
+        target = Path(tmp) / path
+        target.write_text(target.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tmp,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    return outcome, last
+
+
+def main() -> int:
+    problems = check_texts()
+    for name, problem in problems.items():
+        print(f"MISMATCH {name}: {problem}")
+    chosen = [m for m in MUTATIONS if m[0] not in problems]
+    bad = bool(problems)
+    start = time.perf_counter()
+    for name, path, old, new, tests in chosen:
+        t = time.perf_counter()
+        outcome, last = run_mutation(path, old, new, tests)
+        bad |= outcome != "killed"
+        print(f"{outcome.upper():8s} {name} ({time.perf_counter() - t:.1f} s): {last}", flush=True)
+    print(f"{len(chosen)} mutations in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
