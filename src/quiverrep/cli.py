@@ -220,36 +220,29 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=_seed, default=0, help="accepted for compatibility; has no effect yet"
         )
 
-    p = sub.add_parser("classify", help="finite/infinite type with Dynkin components")
-    p.add_argument("quiverfile")
-    add_common(p)
-    p.set_defaults(func=_cmd_classify)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("quiverfile")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("roots", help="list the positive roots of a finite-type quiver")
-    p.add_argument("quiverfile")
-    add_common(p)
-    p.set_defaults(func=_cmd_roots)
+    add_common(command("classify", _cmd_classify, "finite/infinite type with Dynkin components"))
+    add_common(command("roots", _cmd_roots, "list the positive roots of a finite-type quiver"))
 
-    p = sub.add_parser("indec", help="emit the indecomposable with a given dimension vector")
-    p.add_argument("quiverfile")
+    p = command("indec", _cmd_indec, "emit the indecomposable with a given dimension vector")
     p.add_argument("--dim", required=True, help="comma-separated coordinates in vertex order")
     p.add_argument("--field", required=True, help="Q or F<p>")
     add_common(p, formats=False)
-    p.set_defaults(func=_cmd_indec)
 
-    p = sub.add_parser("ext", help="dim Hom, dim Ext1, and the Euler form for two representations")
-    p.add_argument("quiverfile")
+    p = command("ext", _cmd_ext, "dim Hom, dim Ext1, and the Euler form for two representations")
     p.add_argument("--from", dest="src", required=True, metavar="REPFILE")
     p.add_argument("--to", dest="dst", required=True, metavar="REPFILE")
     add_common(p)
-    p.set_defaults(func=_cmd_ext)
 
-    p = sub.add_parser("verify-udr", help="verify the deformation-ring theorem over a catalog")
-    p.add_argument("quiverfile")
+    p = command("verify-udr", _cmd_verify_udr, "verify the deformation-ring theorem over a catalog")
     p.add_argument("--field", required=True, help="Q or F<p>")
     p.add_argument("--dim", help="restrict to a single root")
     add_common(p)
-    p.set_defaults(func=_cmd_verify_udr)
 
     return parser
 

@@ -8,8 +8,10 @@ lcm of their denominators and reduced by fraction-free (Bareiss) elimination
 with positive pivots, so entries stay bounded by minors of the input; the
 back substitution solves for D*x, D the last pivot, with checked exact
 divisions and one Fraction per non-integral entry at the end.  Prime-field
-rows use modular elimination with unit pivots.  A step updates the rows
-below the pivot from the pivot column on.  Pivoting is canonical (first
+rows use modular elimination with unit pivots.  A step updates only the
+rows below the pivot that have an entry in its column, from that column on:
+Bareiss leaves the others unscaled and catches each up by an exact division
+when a later step reads it.  Pivoting is canonical (first
 nonzero entry in column order, lowest row first), so every basis returned is
 reproducible bit for bit.  The eliminations work on plain row lists.
 `_sparse_kernel`, `_sparse_cokernel` and `_sparse_solve` take a matrix as
@@ -22,7 +24,9 @@ they assemble without building a `Matrix`.
 A rank does not depend on pivot order, so questions that need only a rank go
 to one rank engine on sparse rows.  One pipeline, `_rank_mod`, ranks integer
 rows mod p or over Z: it eliminates sparsely on unit pivots, then hands the
-dense residual rows to `_fp_eliminate` or `_bareiss_echelon`.
+dense residual rows to `_fp_eliminate` or `_bareiss_echelon`.  The sparse
+phase keeps, per column, a list of the rows that held it, which may name rows
+that have lost the column since; readers skip those.
 `_rank_lower_bound` runs it over F_p, and over Q modulo one word-size prime.
 `_rank_of` answers `rank` and `rep.hom_ext_dims` from that bound, and runs
 the pipeline over Z only when the bound falls short of what the caller knows
@@ -241,9 +245,21 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
     by the previous pivot never truncate.  Rows below the pivot row are zero
     left of the pivot column, so each step updates them from that column on.
     Entries above the pivots stay; `_back_substitute` reads the reduced form.
+
+    A step touches only the rows with a nonzero entry in the pivot column.
+    The eager form would multiply every other row by the pivot and divide it
+    by the previous one, ratios that telescope; so a skipped row is left as
+    it is, and `stale` records the pivot its entries are scaled to, the one
+    before the first step that skipped it.  The step that next reads the row
+    divides by that pivot instead: (a * piv - f * b) // then to update it,
+    a * prev // then to make it the pivot row.  Both equal the eager entries
+    as rationals, which are minors, so the divisions are exact and the
+    echelon form is the eager one entry for entry.  Every row left below the
+    last pivot is zero, so none needs scaling at the end.
     """
     pivots: list[int] = []
     prev = 1
+    stale: dict[int, int] = {}
     r = 0
     for c in range(n):
         if r == m:
@@ -254,6 +270,12 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
         if pr != r:
             rows_[r], rows_[pr] = rows_[pr], rows_[r]
         piv_row = rows_[r]
+        if stale:
+            then = stale.pop(pr, prev)
+            if r in stale:
+                stale[pr] = stale.pop(r)
+            if then != prev:
+                piv_row[c:] = [a * prev // then for a in piv_row[c:]]
         piv = piv_row[c]
         if piv < 0:
             piv = -piv
@@ -262,17 +284,15 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
         for i in range(r + 1, m):
             ri = rows_[i]
             f = ri[c]
-            if not f and piv == prev:
+            if not f:
+                if piv != prev and i not in stale:
+                    stale[i] = prev
                 continue
-            if f:
-                if prev == 1:
-                    ri[c:] = [a * piv - f * b for a, b in zip(ri[c:], piv_tail)]
-                else:
-                    ri[c:] = [(a * piv - f * b) // prev for a, b in zip(ri[c:], piv_tail)]
-            elif prev == 1:
-                ri[c:] = [a * piv for a in ri[c:]]
+            then = stale.pop(i, prev) if stale else prev
+            if then == 1:
+                ri[c:] = [a * piv - f * b for a, b in zip(ri[c:], piv_tail)]
             else:
-                ri[c:] = [(a * piv) // prev for a in ri[c:]]
+                ri[c:] = [(a * piv - f * b) // then for a, b in zip(ri[c:], piv_tail)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -328,8 +348,9 @@ _RESIDUE_PRIME = 32749
 # The sparse phase hands over to the dense kernels once the live rows hold
 # more than _DENSE_SHARE of the live rows x live columns block, past which a
 # dict row update is slower than a list one, or more than _SPARSE_CAP
-# entries.  An entry of a dict row and its column set costs about ten times
-# a list slot, so the cap keeps a large map's peak near its dense size.
+# entries.  An entry of a dict row and its slot in a column's row list cost
+# ten to fifteen times a list slot (tracemalloc, 2000 x 2000 maps with 5 to
+# 100 entries a row), so the cap keeps a large map's peak near its dense size.
 _DENSE_SHARE = 0.75
 _SPARSE_CAP = 2**17
 
@@ -347,11 +368,23 @@ def _unit_phase(rows: list[dict], p: int, bound: int) -> tuple[int, list[dict], 
     residual.  The phase stops when the live rows get dense (see
     _DENSE_SHARE) or when the pivots reach `bound`, an upper bound on the
     rank.  The rank is the pivot count plus the rank of the residual rows.
+
+    A step touches only the rows it changes.  `colrows` lists, for each
+    column some live row holds, the rows that have held it: a fill-in
+    appends, while an entry that cancels or a row taken as pivot (its slot
+    becomes an empty dict) leaves a stale index behind.  A column's list is
+    pruned to the rows that still have the column when the column comes up
+    for a pivot; it may still repeat a row, which the update then skips.
+    The pivot row is not scaled, since it is dropped after the step: the
+    inverse of its pivot goes into each target row's multiplier.  A column
+    of the pivot row stays live in every updated row that did not cancel it,
+    so only the columns that cancelled, or all of them when no row was
+    updated, are looked up for a live holder and dropped without one.
     """
-    colrows: dict[int, set[int]] = {}
+    colrows: dict[int, list[int]] = {}
     for i, r in enumerate(rows):
         for c in r:
-            colrows.setdefault(c, set()).add(i)
+            colrows.setdefault(c, []).append(i)
     live = {i for i, r in enumerate(rows) if r}
     nnz = sum(map(len, rows))
     # Over Z the dense kernel is Bareiss, slower than a unit step at any density.
@@ -360,43 +393,50 @@ def _unit_phase(rows: list[dict], p: int, bound: int) -> tuple[int, list[dict], 
     for pc in sorted(colrows):
         if done == bound or nnz > min(share * len(live) * len(colrows), _SPARSE_CAP):
             break
-        targets = colrows.get(pc, ())
+        targets = [i for i in colrows.pop(pc, ()) if pc in rows[i]]
         units = targets if p else [i for i in targets if rows[i][pc] in (1, -1)]
         if not units:
+            if targets:
+                colrows[pc] = targets
             continue
         i = min(units, key=lambda i: (len(rows[i]), i))
-        row, rows[i] = rows[i], None
+        row, rows[i] = rows[i], {}
         live.discard(i)
         nnz -= len(row)
-        for c in row:
-            colrows[c].discard(i)
         piv = row.pop(pc)
-        if piv != 1:
-            inv = pow(piv, -1, p) if p else piv
-            row = {c: x * inv % p if p else -x for c, x in row.items()}
+        neg_inv = p - pow(piv, -1, p) if p else -piv
         items = row.items()
-        for j in colrows.pop(pc):
+        updated, gone = False, []
+        for j in targets:
             rj = rows[j]
+            if pc not in rj:
+                continue
+            updated = True
             before = len(rj)
-            nf = -rj.pop(pc)
+            nf = rj.pop(pc) * neg_inv
+            if p:
+                nf %= p
             for c, x in items:
                 y = rj.get(c)
                 if y is None:
                     rj[c] = nf * x % p if p else nf * x
-                    colrows[c].add(j)
+                    colrows[c].append(j)
                 else:
                     y = (y + nf * x) % p if p else y + nf * x
                     if y:
                         rj[c] = y
                     else:
                         del rj[c]
-                        colrows[c].discard(j)
+                        gone.append(c)
             nnz += len(rj) - before
             if not rj:
                 live.discard(j)
-        for c in row:
-            if not colrows[c]:
-                del colrows[c]
+        for c in gone if updated else row:
+            for j in colrows.get(c, ()):
+                if c in rows[j]:
+                    break
+            else:
+                colrows.pop(c, None)
         done += 1
     return done, [rows[i] for i in sorted(live)], sorted(colrows)
 

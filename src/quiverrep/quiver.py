@@ -89,10 +89,18 @@ class Quiver(Value):
     def vertex_count(self) -> int:
         return len(self.labels)
 
+    def _check_vertex(self, i: int) -> None:
+        """Refuse an index outside [0, vertex_count), which a list index
+        would wrap (a negative i) or raise a bare IndexError for."""
+        if not 0 <= i < len(self.labels):
+            raise ValueError(f"vertex {i} is not a vertex of a quiver with {len(self.labels)} vertices")
+
     def is_sink(self, i: int) -> bool:
+        self._check_vertex(i)
         return not self.outgoing[i]
 
     def is_source(self, i: int) -> bool:
+        self._check_vertex(i)
         return not self.incoming[i]
 
     def reverse_arrows_at(self, i: int) -> "Quiver":

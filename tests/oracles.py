@@ -12,8 +12,10 @@ inclusion is the reference for the functor at a sink, now derived by
 duality.  Likewise Sylvester's
 test by one determinant per leading minor is the reference for the single
 Bareiss pass, and the closure of the simple roots under every reflection is
-the reference for the height-raising one.  None of it shares code with the
-package under test.
+the reference for the height-raising one.  The eager Bareiss elimination,
+which rescales every row below the pivot at every step, is the library's
+earlier form, kept as the reference for the one that defers the rescaling.
+None of it shares code with the package under test.
 """
 
 from __future__ import annotations
@@ -90,6 +92,39 @@ def gauss_rref(rows: list[list], ncols: int, p: int | None = None) -> tuple[list
                 m[i] = [norm(a - f * b) for a, b in zip(m[i], m[top])]
         pivots.append(c)
     return m, pivots
+
+
+def bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
+    """Eager fraction-free forward elimination in place; returns pivot columns.
+
+    Canonical pivots (first nonzero in column order, lowest row first), each
+    made positive by negating its row.  At every step every row below the
+    pivot row becomes (a * piv - f * b) // prev from the pivot column on,
+    with f its pivot-column entry, 0 included, so a row with f = 0 is
+    rescaled by piv / prev; the division is exact since entries are minors.
+    """
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows_[i][c]), None)
+        if pr is None:
+            continue
+        rows_[r], rows_[pr] = rows_[pr], rows_[r]
+        if rows_[r][c] < 0:
+            rows_[r][c:] = [-a for a in rows_[r][c:]]
+        piv_row = rows_[r]
+        piv = piv_row[c]
+        for i in range(r + 1, m):
+            ri = rows_[i]
+            f = ri[c]
+            ri[c:] = [(a * piv - f * b) // prev for a, b in zip(ri[c:], piv_row[c:])]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def matmul(A: Matrix, B: Matrix) -> Matrix:

@@ -3,18 +3,22 @@ and valid quivers at and just past the vertex bound.
 
 Whatever the input, `main` must end in a documented exit code, 0 to 6.  A
 nonzero exit prints exactly one line to stderr, starting with `error: `, and
-a zero exit prints nothing there.
+a zero exit prints nothing there.  That line names no private (`_`-prefixed)
+function or class of the package, unless the input itself holds the name.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import quiverrep
 from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
 from quiverrep.formats import MAX_VERTICES, quiver_file_text, rep_file_text
 from quiverrep.indec import construct_indecomposable
@@ -43,6 +47,28 @@ FIELDS = ["Q", "F2", "F3", "F5", "F4", "F0", "F2147483648", "q", ""]
 DIMS = ["1,1,1", "0,1,1", "1,1,1,1", "1,2,1,1", "1,1", "2,2,2", "-1,2", "1,,1", "x", "", "1\n1"]
 
 piece = st.sampled_from(PIECES)
+
+# Every `_`-prefixed, non-dunder function, method and class name in the package.
+PRIVATE_NAMES = sorted(
+    {
+        node.name
+        for path in Path(quiverrep.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+)
+
+
+def leaked_private_names(err: str, argv: list[str], files: list[bytes]) -> list[str]:
+    """The private names that `err` holds as whole words and the input does not."""
+    found = []
+    for name in PRIVATE_NAMES:
+        if re.search(rf"(?<![A-Za-z0-9_]){name}(?![A-Za-z0-9_])", err):
+            if not any(name in a for a in argv) and not any(name.encode() in f for f in files):
+                found.append(name)
+    return found
 
 
 @st.composite
@@ -113,12 +139,24 @@ def test_every_input_ends_in_a_documented_exit_code(argv, quiver, rep1, rep2):
         for name, data in (("QUIVER", quiver), ("REP1", rep1), ("REP2", rep2)):
             paths[name] = Path(tmp) / f"{name.lower()}.txt"
             paths[name].write_bytes(data)
-        code, _, err = run_cli([str(paths.get(a, a)) for a in argv])
+        argv = [str(paths.get(a, a)) for a in argv]
+        code, _, err = run_cli(argv)
     assert code in range(7)
     if code:
         assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
+        assert leaked_private_names(err, argv, [quiver, rep1, rep2]) == [], err
     else:
         assert err == ""
+
+
+def test_a_leaked_private_name_is_caught_unless_the_input_holds_it():
+    """The message an overlong `--seed` once gave named the private `_seed`."""
+    err = "error: argument --seed: invalid _seed value: '99'\n"
+    assert "_seed" in PRIVATE_NAMES
+    assert leaked_private_names(err, ["roots", "q.quiver", "--seed", "99"], [b"quiver q\n"]) == ["_seed"]
+    assert leaked_private_names(err, ["roots", "q.quiver", "--seed", "_seed"], []) == []
+    assert leaked_private_names(err, ["roots", "q.quiver"], [b"vertices: _seed\n"]) == []
+    assert leaked_private_names("error: invalid my_seed value\n", [], []) == []
 
 
 # the highest root: all ones on A_n; on D_n (path 1..n-1, vertex n on n-2)

@@ -13,6 +13,7 @@ from quiverrep.errors import InternalInvariantError
 from quiverrep.linalg import (
     _RESIDUE_PRIME,
     _back_substitute,
+    _bareiss_echelon,
     _echelon,
     _integer_dict_rows,
     _rank_lower_bound,
@@ -30,7 +31,7 @@ from quiverrep.linalg import (
     solve,
 )
 
-from oracles import gauss_rank, gauss_rref, matmul, rank_by_minors
+from oracles import bareiss_echelon, gauss_rank, gauss_rref, matmul, rank_by_minors
 
 F2 = Field(2)
 F5 = Field(5)
@@ -429,22 +430,34 @@ def engine_matrices(draw):
     """Sparse, dense, wide, tall and empty matrices over Q, some rank-deficient.
 
     Sparse matrices are mostly zeros with a few units and non-units; dense
-    ones are small integers or non-integer fractions.  Some get extra rows
-    that are integer combinations of the others, so their rank falls short
-    of min(rows, cols).
+    ones are small integers or non-integer fractions.  Two kinds force the
+    rank engine's other paths: a sparse matrix with one column that holds no
+    unit over Z, which the unit phase over Z must leave to the residual, and
+    a full matrix with no zero and no unit entry, whose residual is the whole
+    matrix (over Z for want of a unit, mod p because it is dense from the
+    start).  Some get extra rows that are integer combinations of the
+    others, so their rank falls short of min(rows, cols).
     """
-    kind = draw(st.sampled_from(["sparse", "dense", "wide", "tall", "empty"]))
+    kind = draw(st.sampled_from(["sparse", "dense", "wide", "tall", "empty", "no-unit", "full"]))
     sizes = {"sparse": (1, 12, 1, 12), "dense": (1, 6, 1, 6), "wide": (1, 4, 7, 14), "tall": (7, 14, 1, 4)}
+    sizes.update({"no-unit": sizes["sparse"], "full": sizes["dense"]})
     if kind == "empty":
-        nrows, ncols = draw(st.sampled_from([(0, 0), (0, 3), (3, 0)]))
+        nrows, ncols = draw(st.sampled_from([(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)]))
     else:
         lo_r, hi_r, lo_c, hi_c = sizes[kind]
         nrows, ncols = draw(st.integers(lo_r, hi_r)), draw(st.integers(lo_c, hi_c))
     if kind == "dense":
         entry = draw(st.sampled_from([st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7)]))
+    elif kind == "full":
+        entry = st.sampled_from([2, -2, 3, -3, 4, 5, -6])
     else:
         entry = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -3])
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if kind == "no-unit":
+        j = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[j] = draw(st.sampled_from([0, 2, -3, 4])) if r[j] in (1, -1) else r[j]
+        rows[draw(st.integers(0, nrows - 1))][j] = draw(st.sampled_from([2, -3, 4]))
     if rows and draw(st.booleans()):
         for _ in range(draw(st.integers(1, 3))):
             coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
@@ -471,6 +484,66 @@ def test_rank_engine_matches_the_direct_elimination(data):
         if not field.char:
             assert _rank_mod(_integer_dict_rows(_sparse_rows(a)), 0, bound) == want
         assert rank(a) == want
+
+
+@st.composite
+def bareiss_matrices(draw):
+    """Integer matrices on which the deferred rescaling of `_bareiss_echelon`
+    does its work, with the column count.
+
+    Each row starts with a run of zeros of drawn length, in no order, so a
+    row can sit out several steps whose pivots differ, and a row that sat
+    out can be swapped into the pivot position or out of it.  A row's first
+    nonzero entry is often not a unit and may be negative; other entries
+    come from small integers or a pool that is mostly zeros.  Some matrices
+    get rows that are integer combinations of the others, so their rank
+    falls short, and empty shapes occur.
+    """
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entry = draw(st.sampled_from([st.integers(-7, 7), st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5])]))
+    rows = []
+    for _ in range(nrows):
+        lead = draw(st.integers(0, ncols))
+        tail = draw(st.lists(entry, min_size=ncols - lead, max_size=ncols - lead))
+        if tail and not tail[0]:
+            tail[0] = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 5]))
+        rows.append([0] * lead + tail)
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            combination = [sum(k * r[j] for k, r in zip(coeffs, rows)) for j in range(ncols)]
+            rows.insert(draw(st.integers(0, len(rows))), combination)
+    return rows, ncols
+
+
+def _assert_deferred_bareiss_is_eager(rows, ncols):
+    deferred, eager = [list(r) for r in rows], [list(r) for r in rows]
+    assert _bareiss_echelon(deferred, len(rows), ncols) == bareiss_echelon(eager, len(rows), ncols)
+    assert deferred == eager
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=bareiss_matrices())
+def test_deferred_bareiss_leaves_the_eager_echelon(data):
+    """The same pivots, and every row the same entry for entry."""
+    _assert_deferred_bareiss_is_eager(*data)
+
+
+def test_a_skipped_row_is_caught_up_when_it_becomes_the_pivot_row():
+    """Rows 2 and 3 sit out the steps with pivots 2 and 4.  At column 2 row 3
+    is swapped into the pivot position and scaled by 4 / 1 to (0, 0, 20, 4);
+    row 2, moved to index 3, sits out pivot 20 too and is scaled by 20 / 1
+    to (0, 0, 0, 60) when it becomes the last pivot row.  Row 1 takes a
+    negative pivot, and in the second matrix an all-zero row and a
+    dependent row leave the rank short."""
+    rows = [[2, 1, 0, 0], [4, 0, 1, 0], [0, 0, 0, 3], [0, 0, 5, 1]]
+    eager = [list(r) for r in rows]
+    assert bareiss_echelon(eager, 4, 4) == [0, 1, 2, 3]
+    assert eager == [[2, 1, 0, 0], [0, 4, -2, 0], [0, 0, 20, 4], [0, 0, 0, 60]]
+    _assert_deferred_bareiss_is_eager(rows, 4)
+    _assert_deferred_bareiss_is_eager([[0, 0, 0, 0], [3, 1, 0, 2], [0, 0, 2, 1], [6, 2, 2, 5], [0, 0, 7, -1]], 4)
+    for shape in ([], [[]], [[0, 0], [0, 0]]):
+        _assert_deferred_bareiss_is_eager(shape, len(shape[0]) if shape else 0)
 
 
 def _recording_bareiss(monkeypatch):

@@ -35,6 +35,19 @@ A2 = build_quiver("A", 2)
 KRON = kronecker_quiver()
 
 
+class TestSinksAndSources:
+    def test_a2(self):
+        assert [(a.source, a.target) for a in A2.arrows] == [(0, 1)]
+        assert (A2.is_source(0), A2.is_sink(0), A2.is_source(1), A2.is_sink(1)) == (True, False, False, True)
+
+    @pytest.mark.parametrize("vertex", [-1, 2])
+    @pytest.mark.parametrize("method", ["is_sink", "is_source"])
+    def test_a_vertex_out_of_range_is_refused(self, method, vertex):
+        """-1 would index the last vertex and 2 raise a bare IndexError."""
+        with pytest.raises(ValueError, match=rf"^vertex {vertex} is not a vertex of a quiver with 2 vertices$"):
+            getattr(A2, method)(vertex)
+
+
 class TestEulerForm:
     def test_a2_mixed(self):
         assert euler_form(A2, (1, 0), (0, 1)) == -1

@@ -105,6 +105,23 @@ MUTATIONS = [
         ["tests/test_rep.py::test_full_rank_rational_pair_needs_no_bareiss"],
     ),
     (
+        "bareiss-skipped-pivot-row-not-caught-up",
+        LINALG,
+        "                piv_row[c:] = [a * prev // then for a in piv_row[c:]]\n",
+        "                pass\n",
+        [
+            "tests/test_linalg.py::test_deferred_bareiss_leaves_the_eager_echelon",
+            "tests/test_linalg.py::test_a_skipped_row_is_caught_up_when_it_becomes_the_pivot_row",
+        ],
+    ),
+    (
+        "unit-phase-reads-stale-indices",
+        LINALG,
+        "targets = [i for i in colrows.pop(pc, ()) if pc in rows[i]]",
+        "targets = list(colrows.pop(pc, ()))",
+        ["tests/test_linalg.py::test_rank_engine_matches_the_direct_elimination"],
+    ),
+    (
         "pair-size-from-m-alone",
         "src/quiverrep/formats.py",
         "(_, cols), (_, rows) = _blocks(M, N)",
