@@ -178,7 +178,10 @@ def _cmd_verify_udr(args) -> int:
         modules = [(d, construct_indecomposable(Q, d, field))]
     entries, lines, verified = [], [f"quiver: {Q.name} over {field}"], 0
     for root, rep in modules:
-        report = udr_report(Q, rep)
+        try:
+            report = udr_report(Q, rep)
+        except InternalInvariantError as exc:
+            raise InternalInvariantError(f"quiver {Q.name}, root ({_fmt_root(root)}): {exc}") from exc
         verified += report.verdict is UDRVerdict.ISOMORPHIC_TO_K
         entries.append({
             "root": list(root),

@@ -5,7 +5,8 @@ cyclic sink-admissible vertex ordering; the indecomposable is then rebuilt by
 applying the inverse functors in reverse, reorienting the quiver step by step
 until it returns to the input orientation.  Dimension bookkeeping is asserted
 after every functor application, so the classical theorems this relies on are
-enforced at runtime, and a failure names the quiver, root, vertex and step.
+enforced at runtime, and a failure, the functor's own included, names the
+quiver, root, vertex and step.
 
 The walk state after t reflections is (dimension vector, t mod n).  Walks are
 deterministic and functors are injective on indecomposables, so the walks that
@@ -207,7 +208,10 @@ def _rebuild(Q: Quiver, field: Field, walk: tuple[list[int], list[Quiver]], dims
         # The arrows at v leave it before the step and enter it after.
         if before.incoming[v] or after.outgoing[v] or before.outgoing[v] != after.incoming[v]:
             raise _fail(Q, dims[0], s, v, "reflection functor reoriented the quiver incorrectly")
-        d, maps = _reflect(before, v, field, d, maps)
+        try:
+            d, maps = _reflect(before, v, field, d, maps)
+        except InternalInvariantError as exc:  # raised by an elimination, which knows only its matrix
+            raise _fail(Q, dims[0], s, v, str(exc)) from exc
         if d[v] != dims[s][v]:
             raise _fail(Q, dims[0], s, v, f"dimension bookkeeping failed: {d} != {dims[s]}")
         if s % n == 0:

@@ -27,14 +27,13 @@ rows mod p or over Z: it eliminates sparsely on unit pivots, then hands the
 dense residual rows to `_fp_eliminate` or `_bareiss_echelon`.  The sparse
 phase keeps, per column, a list of the rows that held it, which may name rows
 that have lost the column since; readers skip those.
-`_rank_lower_bound` runs it over F_p, and over Q modulo one word-size prime.
-`_rank_of` answers `rank` and `rep.hom_ext_dims` from that bound, and runs
-the pipeline over Z only when the bound falls short of what the caller knows
-the rank can be.  `_full_rank` settles the full-rank cases by the bound
-alone: an empty kernel at full column rank, an empty cokernel at full row
-rank, and a system that is solvable whatever its right-hand side, which
-answers `rep.is_coboundary` without a solve.  The answers are exact and the
-same as the canonical elimination's.
+`_rank_lower_bound` runs it over F_p, and over Q modulo one word-size prime;
+it settles a full-rank question alone, which `rep` uses to answer an empty
+kernel or cokernel, and a system solvable whatever its right-hand side,
+without an elimination.  `_rank_of` answers `rank` and `rep.hom_ext_dims`
+from that bound, and runs the pipeline over Z only when the bound falls
+short of what the caller knows the rank can be.  The answers are exact and
+the same as the canonical elimination's.
 
 The `Matrix` constructor is the one place where a matrix's entries become
 canonical, in one pass per field: ints are reduced mod p, or kept as they
@@ -490,15 +489,16 @@ def _rank_lower_bound(field: Field, rows: list[dict], bound: int) -> int:
     return _rank_mod([{c: x % q for c, x in row.items() if x % q} for row in _integer_dict_rows(rows)], q, bound)
 
 
-def _rank_of(field: Field, rows: list[dict], bound: int) -> int:
+def _rank_of(field: Field, rows: list[dict], bound: int, lower: int | None = None) -> int:
     """Rank of the matrix with sparse rows {column: canonical entry}, at most
     `bound`, an upper bound the caller knows; the rows are consumed.
 
-    The lower bound is the rank over F_p, and over Q when it reaches
-    `bound`; otherwise the integral rows are ranked over Z.
+    The lower bound, `_rank_lower_bound`'s unless the caller has it, is the
+    rank over F_p, and over Q when it reaches `bound`; otherwise the integral
+    rows are ranked over Z.
     """
-    r = _rank_lower_bound(field, rows, bound)
-    return r if field.char or r == bound else _rank_mod(rows, 0, bound)
+    r = _rank_lower_bound(field, rows, bound) if lower is None else lower
+    return r if field.char or r == bound else _rank_mod(_integer_dict_rows(rows), 0, bound)
 
 
 def _sparse_rows(A: "Matrix") -> list[dict]:
@@ -601,32 +601,20 @@ def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
 # --- bases and solutions on sparse rows ---------------------------------
 #
 # Each routine takes an n-column matrix as sparse rows {column: canonical
-# entry} and consumes them.  The kernel and cokernel answer their full-rank
-# case by `_full_rank`; otherwise each routine turns the rows into lists once
-# for the dense elimination.
-
-
-def _full_rank(field: Field, rows: list[dict], bound: int) -> bool:
-    """Whether the rows have rank `bound`, by `_rank_lower_bound`, which
-    consumes rows mod p and rescales them over Q, so it gets a copy."""
-    return _rank_lower_bound(field, [r.copy() for r in rows], bound) == bound
+# entry}, consumes them, and turns them into lists once for the dense
+# elimination.
 
 
 def _sparse_kernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
-    """`kernel_basis`: empty at full column rank."""
-    if n <= len(rows) and _full_rank(field, rows, n):
-        return []
+    """`kernel_basis`."""
     return _kernel_of_rows(field, _dense(rows, range(n)), n)
 
 
 def _sparse_cokernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
-    """`cokernel_basis`: empty at full row rank.  Otherwise the coordinates
-    are the pivots of the column space (a forward pass on the transposed
-    lists), and the remaining standard basis vectors descend to a basis of
-    the cokernel."""
+    """`cokernel_basis`: the coordinates that are pivots of the column space
+    (a forward pass on the transposed lists) span the image, and the
+    remaining standard basis vectors descend to a basis of the cokernel."""
     m = len(rows)
-    if m <= n and _full_rank(field, rows, m):
-        return []
     free = _free_columns(m, _echelon(field, [list(c) for c in zip(*_dense(rows, range(n)))], m))
     return [tuple(int(t == i) for t in range(m)) for i in free]
 

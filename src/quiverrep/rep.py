@@ -11,16 +11,32 @@ within each block; codomain coordinates run over arrows in declaration
 order, row-major within each block.  The sign convention (g u - u f) is
 shared with the deformation module.
 
-Phi is assembled once, as sparse rows in codomain order: each entry is a
-copied entry of g_a or a negated entry of f_a, placed at its domain
-coordinate.  The two terms land on the same entry only for a loop
-(source(a) == target(a)), and only there are entries added.  Every question
-reads those rows once: `hom_ext_dims` hands them to the linalg rank engine,
-and `hom_space` and `ext1_space` to the sparse kernel and cokernel, which
-settle full rank by that engine and otherwise make the rows dense lists
-once.  `is_coboundary` answers an onto Phi by the engine's full-rank check
-and hands any other Phi to the sparse solve.  `commutation_map` is the dense
-`Matrix` view of the same rows.
+Phi is assembled as sparse rows in codomain order: each entry is a copied
+entry of g_a or a negated entry of f_a, placed at its domain coordinate.
+The two terms land on the same entry only for a loop (source(a) ==
+target(a)), and only there are entries added.  `commutation_map` is the
+dense `Matrix` view of the same rows.
+
+Questions about one pair share one rank.  A slot holds the facts of the
+last pair asked about: Phi's domain and codomain sizes, an upper bound on
+its rank, and its rank as far as the linalg rank engine has run (`_pair`).
+The key is the identities of M and N.  Representations are immutable, so
+the same two objects always give the same Phi; a cache keyed by value
+would hash both modules on every question, where an identity test costs
+nothing.  The slot keeps only numbers and the references to M and N, which
+stay alive until another pair is asked about; it never keeps rows.
+
+A question about a pair the slot does not hold builds Phi's rows, which it
+needs anyway, and makes the facts from them.  `hom_space` answers an empty
+basis when the rank is the domain size, `ext1_space` an empty cocycle list
+and `is_coboundary` True when it is the codomain size; only a rank equal
+to the bound can be either, and the slot ranks a copy of the rows for it
+when it has no rank yet.  Otherwise the rows, rebuilt if the slot already
+held the pair, go to the sparse kernel, cokernel or solve, which consume
+them.  Over Q the slot first holds the rank mod the residue prime, a lower
+bound that settles every full-rank question; `hom_ext_dims`, which needs
+the rank itself, runs the pipeline over Z only when that bound falls short
+of the upper one.  So no question eliminates more than it would alone.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import MismatchError
-from .linalg import Field, Matrix, _dense, _full_rank, _rank_of, _sparse_cokernel, _sparse_kernel, _sparse_solve, rank
+from .linalg import Field, Matrix, _dense, _rank_lower_bound, _rank_of, _sparse_cokernel, _sparse_kernel, _sparse_solve, rank
 from .quiver import Quiver
 from .value import Value, setfield
 
@@ -215,28 +231,80 @@ def commutation_map(M: Representation, N: Representation) -> Matrix:
     return Matrix(M.field, len(rows), dom, [x for row in _dense(rows, range(dom)) for x in row])
 
 
+# The facts of the last pair asked about: [M, N, dom, cod, bound, r, exact];
+# see `_pair`.
+_last: list = [None, None]
+
+
+def _pair(M: Representation, N: Representation) -> tuple[list, list[dict] | None]:
+    """The slot's facts about the pair of these very objects M and N, and
+    Phi's rows when the slot held another pair and they were built to make
+    the facts afresh, else None.  Every question needs the rows then, so the
+    caller uses these.
+
+    The facts are Phi's domain and codomain sizes, an upper bound on its
+    rank, and its rank as far as a rank engine has run.  The bound is
+    min(dom, cod), or dom - 1 for M == N, whose identity lies in the kernel.
+    r is None until the engine has run, then its result at the bound, and
+    `exact` says whether that is the rank: always over F_p, and over Q when
+    it reaches the bound; a rational r short of it is the rank mod the
+    residue prime, a lower bound.
+    """
+    global _last
+    facts = _last  # one read: another thread may replace the slot between two
+    if facts[0] is M and facts[1] is N:
+        return facts, None
+    rows, dom = _phi_rows(M, N)
+    cod = len(rows)
+    _last = facts = [M, N, dom, cod, min(cod, dom - 1 if dom and M == N else dom), None, False]
+    return facts, rows
+
+
+def _phi_unless_full(M: Representation, N: Representation, onto: bool) -> tuple[list[dict] | None, int]:
+    """(Phi's rows, dom), with None for the rows when Phi is onto (onto true)
+    or one to one (onto false), which only a rank equal to the bound can show.
+    When the slot holds no rank and the bound is that size, a copy of the
+    rows is ranked for the slot, as the lower bound consumes or rescales them."""
+    facts, rows = _pair(M, N)
+    _, _, dom, cod, bound, r, _ = facts
+    n = cod if onto else dom
+    if r is None and n == bound:
+        if rows is None:
+            rows, _ = _phi_rows(M, N)
+        r = _rank_lower_bound(M.field, [row.copy() for row in rows], bound)
+        facts[5:] = r, M.field.char > 0 or r == bound
+    if r == n:
+        return None, dom
+    return (_phi_rows(M, N)[0] if rows is None else rows), dom
+
+
 def hom_space(M: Representation, N: Representation) -> MorphismSpace:
     """Canonical basis of the space of quiver morphisms M -> N."""
-    rows, dom = _phi_rows(M, N)
+    rows, dom = _phi_unless_full(M, N, onto=False)
     (vblocks, _), _ = _blocks(M, N)
-    return MorphismSpace(M, N, (_split(v, vblocks, M.field) for v in _sparse_kernel(M.field, rows, dom)))
+    basis = [] if rows is None else _sparse_kernel(M.field, rows, dom)
+    return MorphismSpace(M, N, (_split(v, vblocks, M.field) for v in basis))
 
 
 def ext1_space(M: Representation, N: Representation) -> ExtSpace:
     """Cocycle representatives of Ext^1(M, N) as a cokernel of the commutation map."""
-    rows, dom = _phi_rows(M, N)
+    rows, dom = _phi_unless_full(M, N, onto=True)
     _, (ablocks, _) = _blocks(M, N)
-    return ExtSpace(M, N, (_split(v, ablocks, M.field) for v in _sparse_cokernel(M.field, rows, dom)))
+    cocycles = [] if rows is None else _sparse_cokernel(M.field, rows, dom)
+    return ExtSpace(M, N, (_split(v, ablocks, M.field) for v in cocycles))
 
 
 def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:
-    """(dim Hom, dim Ext^1) from a single rank computation.
-
-    For M == N the identity lies in the kernel, so the rank is below dom.
-    """
-    rows, dom = _phi_rows(M, N)
-    cod = len(rows)
-    r = _rank_of(M.field, rows, min(cod, dom - 1 if dom and M == N else dom))
+    """(dim Hom, dim Ext^1) from a single rank computation: the slot's, or
+    the rank engine's at the bound on rows built for it.  A rational lower
+    bound in the slot leaves only the pipeline over Z to run."""
+    facts, rows = _pair(M, N)
+    _, _, dom, cod, bound, r, exact = facts
+    if not exact:
+        if rows is None:
+            rows, _ = _phi_rows(M, N)
+        r = _rank_of(M.field, rows, bound, r)
+        facts[5:] = r, True
     return dom - r, cod - r
 
 
@@ -249,11 +317,8 @@ def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -
     for a, (_, rows, cols), m in zip(M.quiver.arrows, ablocks, eta):
         if m.rows != rows or m.cols != cols or m.field != M.field:
             raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
-    phi_rows, dom = _phi_rows(M, N)
-    cod = len(phi_rows)
-    if cod <= dom and _full_rank(M.field, phi_rows, cod):
-        return True
-    return _sparse_solve(M.field, phi_rows, dom, [x for m in eta for x in m.entries]) is not None
+    phi_rows, dom = _phi_unless_full(M, N, onto=True)
+    return phi_rows is None or _sparse_solve(M.field, phi_rows, dom, [x for m in eta for x in m.entries]) is not None
 
 
 def end_dim(M: Representation) -> int:

@@ -10,7 +10,7 @@ from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -24,6 +24,14 @@ DIAGRAMS = (
     + [("D", r) for r in range(4, 9)]
     + [("E", r) for r in (6, 7, 8)]
 )
+
+
+# Hypothesis without the shrink phase (and the explain phase, which reads the
+# shrunk example): a failing test still fails, on the first example found
+# rather than the smallest.  tools/mutations.py selects it with
+# --hypothesis-profile, since it needs only whether its tests fail; every
+# other run keeps the default profile.
+settings.register_profile("no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 SHIPPED_QUIVERS = sorted((Path(__file__).parent.parent / "quivers").glob("*.quiver"))

@@ -15,6 +15,8 @@ Bareiss pass, and the closure of the simple roots under every reflection is
 the reference for the height-raising one.  The eager Bareiss elimination,
 which rescales every row below the pivot at every step, is the library's
 earlier form, kept as the reference for the one that defers the rescaling.
+Hom and Ext^1 between indecomposables of a Dynkin quiver come from the
+Euler form, by its own sum over the arrow list, with no elimination.
 None of it shares code with the package under test.
 """
 
@@ -288,6 +290,21 @@ def naive_hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
         return 0, n_eq
     r = gauss_rank(rows, p)
     return n_unknown - r, n_eq - r
+
+
+def dynkin_hom_ext(arrows: list[tuple[int, int]], x, y) -> tuple[int, int]:
+    """(dim Hom(X, Y), dim Ext^1(X, Y)) for indecomposables X, Y of a Dynkin
+    quiver with the given (source, target) arrows and dimension vectors x, y,
+    from the Euler form alone: (max(<x, y>, 0), max(-<x, y>, 0)).
+
+    Over a Dynkin quiver Hom(X, Y) and Ext^1(X, Y) are never both nonzero:
+    Ext^1(X, Y) is dual to Hom(Y, tau X), and nonzero maps X -> Y -> tau X
+    would close a cycle in the directed Auslander-Reiten quiver (Ringel,
+    LNM 1099, 2.4; Happel, LMS LN 119).  As hom - ext is <x, y>, that fixes
+    both, over every field.  <x, y> = sum_i x_i y_i - sum_(i -> j) x_i y_j.
+    """
+    euler = sum(a * b for a, b in zip(x, y)) - sum(x[s] * y[t] for s, t in arrows)
+    return max(euler, 0), max(-euler, 0)
 
 
 def closed_form_count(letter: str, rank: int) -> int:

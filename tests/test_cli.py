@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import quiverrep.linalg as linalg
 from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
+from quiverrep.errors import InternalInvariantError
 from quiverrep.formats import MAX_DIM, MAX_MAP_ENTRIES, parse_rep_file, quiver_file_text
 from quiverrep.linalg import Matrix
 from quiverrep.rep import hom_ext_dims, is_schur
@@ -282,6 +285,33 @@ class TestVerifyUDR:
             "ext_dim": 0,
             "verdict": "isomorphic_to_k",
         }
+
+    def test_a_failing_catalog_step_names_the_quiver_root_step_and_vertex(self, files, monkeypatch):
+        """A back substitution that fails knows only its matrix; the rebuild
+        step that ran it names the quiver, the root, the walk step and the
+        vertex, and the CLI exits 5 with one `error:` line."""
+
+        def corrupt(*args):
+            raise InternalInvariantError("back substitution on a 1x2 matrix: row 0 is not divisible by its pivot 2")
+
+        monkeypatch.setattr(linalg, "_back_substitute", corrupt)
+        where = r"error: quiver D4_linear, root \([0-9,]+\), walk step [0-9]+, vertex [0-9]+: "
+        for argv in (["verify-udr"], ["verify-udr", "--dim", "1,1,1,1"], ["indec", "--dim", "1,1,1,1"]):
+            code, out, err = run_cli([argv[0], files["D4_linear"], "--field", "Q", *argv[1:]])
+            assert (code, out) == (5, "")
+            assert re.fullmatch(where + "back substitution on a 1x2 matrix: .*\n", err), err
+
+    def test_a_failing_udr_report_names_the_root(self, files, monkeypatch):
+        """A rank engine that fails inside udr_report: verify-udr names the
+        quiver and the root it was checking, for a catalog and for --dim."""
+
+        def corrupt(*args):
+            raise InternalInvariantError("rank engine broke")
+
+        monkeypatch.setattr(linalg, "_unit_phase", corrupt)
+        for extra, root in (([], "0,0,1"), (["--dim", "1,1,0"], "1,1,0")):
+            code, out, err = run_cli(["verify-udr", files["A3_linear"], "--field", "F3", *extra])
+            assert (code, out, err) == (5, "", f"error: quiver A3_linear, root ({root}): rank engine broke\n")
 
 
 class TestUsageErrors:

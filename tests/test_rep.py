@@ -408,7 +408,9 @@ def test_is_coboundary_builds_phi_once_when_phi_is_not_onto(monkeypatch):
     onto, so the answer needs a solve, which runs once, on the rows of the
     one `_phi_rows` call and never on a dense `commutation_map`.  End of the
     brick m, with Ext^1 = 0, has an onto Phi: full row rank answers it with
-    no solve."""
+    no solve, on rows built once to rank them for the slot; asked again, the
+    slot answers it with no rows at all.  A solve that is needed is needed
+    again on a second question about the same pair, and rebuilds the rows."""
     q = build_quiver("D", 5)
     one = Matrix(QQ, 1, 1, [1])
     m = Representation.from_maps(q, QQ, (1, 1, 1, 0, 0), {"a1": one, "a2": one})
@@ -416,13 +418,16 @@ def test_is_coboundary_builds_phi_once_when_phi_is_not_onto(monkeypatch):
     zero = Representation.from_maps(q, QQ, (1, 2, 2, 1, 1))
     assert hom_ext_dims(m, m) == (1, 0)
     assert hom_ext_dims(m, n) == (0, 1) and hom_ext_dims(zero, zero)[1] > 0
-    # (m, n): Phi is [[-1, 0], [1, -1], [0, 1]]; its first column is a coboundary
+    # (m, n): Phi is [[-1, 0], [1, -1], [0, 1]]; its first column is a coboundary.
+    # Columns: the pair, the cocycle, the verdict, solves, `_phi_rows` calls.
     cases = [
-        (m, m, [1, 2], True, 0),
-        (m, n, [1, 0, 0], False, 1),
-        (m, n, [-1, 1, 0], True, 1),
-        (zero, zero, [1] * 10, False, 1),
-        (zero, zero, [0] * 10, True, 1),
+        (m, m, [1, 2], True, 0, 1),
+        (m, n, [1, 0, 0], False, 1, 1),
+        (m, n, [-1, 1, 0], True, 1, 1),
+        (zero, zero, [1] * 10, False, 1, 1),
+        (zero, zero, [0] * 10, True, 1, 1),
+        (m, m, [1, 2], True, 0, 1),
+        (m, m, [0, 5], True, 0, 0),
     ]
     cases = [(M, N, rep._split(vec, rep._blocks(M, N)[1][0], QQ), *rest) for M, N, vec, *rest in cases]
     calls, solves = [], []
@@ -430,11 +435,11 @@ def test_is_coboundary_builds_phi_once_when_phi_is_not_onto(monkeypatch):
     monkeypatch.setattr(rep, "_phi_rows", lambda M, N: calls.append((M, N)) or phi_rows(M, N))
     monkeypatch.setattr(rep, "_sparse_solve", lambda *args: solves.append(args) or sparse_solve(*args))
     monkeypatch.setattr(rep, "commutation_map", _never_dense)
-    for M, N, eta, verdict, solve_count in cases:
+    for M, N, eta, verdict, solve_count, phi_count in cases:
         calls.clear()
         solves.clear()
         assert is_coboundary(M, N, eta) is verdict
-        assert calls == [(M, N)]
+        assert calls == [(M, N)] * phi_count
         assert len(solves) == solve_count
 
 
@@ -455,16 +460,27 @@ def _never_bareiss(*args):
 
 def test_full_rank_rational_pair_needs_no_bareiss(monkeypatch):
     """Two random A20 representations of dim 4 over Q: the 304x320 map has
-    full row rank, which the residue-prime rank certifies on its own."""
+    full row rank, which the residue-prime rank certifies on its own, when
+    hom_ext_dims is asked first, after ext1_space, or after hom_space."""
     rng = random.Random(20)
     q = build_quiver("A", 20)
     reps = [
         Representation(q, QQ, (4,) * 20, [Matrix(QQ, 4, 4, [rng.randint(-3, 3) for _ in range(16)]) for _ in q.arrows])
         for _ in range(2)
     ]
+    bareiss = linalg._bareiss_echelon
     monkeypatch.setattr(linalg, "_bareiss_echelon", _never_bareiss)
     hom, ext = hom_ext_dims(*reps)
     assert (hom, ext) == (16, 0) and hom - ext == euler_form(q, reps[0].dims, reps[1].dims)
+    # Asked first, ext1_space leaves the residue-prime rank in the slot.
+    M, N = (Representation(q, QQ, r.dims, r.maps) for r in reps)
+    assert ext1_space(M, N).cocycles == () and hom_ext_dims(M, N) == (16, 0)
+    # hom_space's 16-dimensional kernel takes Bareiss; the rank after it does not.
+    M, N = (Representation(q, QQ, r.dims, r.maps) for r in reps)
+    monkeypatch.setattr(linalg, "_bareiss_echelon", bareiss)
+    assert hom_space(M, N).dimension == 16
+    monkeypatch.setattr(linalg, "_bareiss_echelon", _never_bareiss)
+    assert hom_ext_dims(M, N) == (16, 0)
 
 
 def test_end_bound_spares_bareiss(monkeypatch):

@@ -5,10 +5,12 @@ exact old text (which must occur exactly once in that file), the new text,
 and the ids of the tests expected to fail on it.  For each mutation the
 harness copies the tree (src, tests, tools, quivers, pyproject.toml) to a
 temporary directory, applies the mutation there and runs only its listed
-tests.  A mutation is killed when pytest reports failures (exit 1); it
-survives when the tests pass, and any other pytest exit (a test id that is
-not found, a collection error) is reported as an error.  Nothing in the
-checkout is modified.  Run from the repository root:
+tests, under the Hypothesis profile `no-shrink` of tests/conftest.py, which
+reports the first failing example without shrinking it.  A mutation is
+killed when pytest reports failures (exit 1); it survives when the tests
+pass, and any other pytest exit (a test id that is not found, a collection
+error) is reported as an error.  Nothing in the checkout is modified.  Run
+from the repository root:
 
     python tools/mutations.py
 
@@ -35,6 +37,7 @@ LINALG = "src/quiverrep/linalg.py"
 REP = "src/quiverrep/rep.py"
 QUIVER = "src/quiverrep/quiver.py"
 CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
+MEMO = "tests/test_pair_memo.py"
 
 # (name, file, old text, new text, test ids expected to fail)
 MUTATIONS = [
@@ -83,9 +86,30 @@ MUTATIONS = [
     (
         "coboundary-without-full-rank-answer",
         REP,
-        "    if cod <= dom and _full_rank(M.field, phi_rows, cod):\n        return True\n",
-        "",
+        "phi_rows, dom = _phi_unless_full(M, N, onto=True)",
+        "phi_rows, dom = _phi_rows(M, N)",
         ["tests/test_rep.py::test_is_coboundary_builds_phi_once_when_phi_is_not_onto"],
+    ),
+    (
+        "pair-slot-keyed-on-n-alone",
+        REP,
+        "if facts[0] is M and facts[1] is N:",
+        "if facts[1] is N:",
+        [f"{MEMO}::test_the_slot_is_keyed_by_both_objects", f"{MEMO}::test_interleaved_questions_match_the_memo_free_path"],
+    ),
+    (
+        "pair-slot-lower-bound-taken-for-the-rank",
+        REP,
+        "facts[5:] = r, M.field.char > 0 or r == bound",
+        "facts[5:] = r, True",
+        [f"{MEMO}::test_the_residue_pair_in_every_order", f"{MEMO}::test_interleaved_questions_match_the_memo_free_path"],
+    ),
+    (
+        "pair-slot-ranks-a-shape-that-cannot-be-full",
+        REP,
+        "if r is None and n == bound:",
+        "if r is None:",
+        [f"{MEMO}::test_no_question_or_run_of_three_eliminates_more_than_before"],
     ),
     (
         "z-pipeline-without-bareiss",
@@ -100,8 +124,8 @@ MUTATIONS = [
     (
         "z-fallback-on-every-rational-rank",
         LINALG,
-        "return r if field.char or r == bound else _rank_mod(rows, 0, bound)",
-        "return r if field.char else _rank_mod(rows, 0, bound)",
+        "return r if field.char or r == bound else _rank_mod(_integer_dict_rows(rows), 0, bound)",
+        "return r if field.char else _rank_mod(_integer_dict_rows(rows), 0, bound)",
         ["tests/test_rep.py::test_full_rank_rational_pair_needs_no_bareiss"],
     ),
     (
@@ -172,7 +196,7 @@ def run_mutation(path: str, old: str, new: str, tests: list[str]) -> tuple[str, 
         target.write_text(target.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=no-shrink", *tests],
             cwd=tmp,
             env=env,
             capture_output=True,
