@@ -150,13 +150,11 @@ def _cmd_ext(args) -> int:
     Q = parse_quiver_file(_read(args.quiverfile))
     _, src = parse_rep_file(_read(args.src), Q)
     _, dst = parse_rep_file(_read(args.dst), Q)
-    if src.field != dst.field:
-        raise MismatchError(f"field mismatch: {src.field} vs {dst.field}")
     check_pair_size(src, dst)
     hom, ext = hom_ext_dims(src, dst)
     euler = euler_form(Q, src.dims, dst.dims)
     # hom - ext = dom - cod for any rank, so this checks Phi's block sizes
-    # (`rep._blocks`) against `euler_form`; it cannot catch a wrong rank.
+    # (`rep._phi_size`) against `euler_form`; it cannot catch a wrong rank.
     if hom - ext != euler:
         raise InternalInvariantError(
             f"Euler identity failed: {hom} - {ext} != {euler}"

@@ -23,9 +23,10 @@ quiver.  It does not bound Hom/Ext between two files M and N: their
 commutation map has sum_v m_v n_v columns and sum_a m_source(a) n_target(a)
 rows, so its entry count grows as the square of the quiver's size (20224 x
 20480, about 9 GB, for two A80 files of dim 16 everywhere).  `ext`
-therefore calls check_pair_size, which refuses a pair whose map would have
-more than MAX_MAP_ENTRIES = 2**22 entries, on the two dimension vectors
-before anything is assembled.  `ext` needs only the map's rank: the rank
+therefore calls check_pair_size, which refuses a pair over two fields,
+then a pair whose map would have more than MAX_MAP_ENTRIES = 2**22
+entries, on the two dimension vectors before anything is assembled.
+`ext` needs only the map's rank: the rank
 engine holds it as sparse rows and turns them into dense lists only for a
 residual that has filled up, and never holds more than 2**17 sparse entries,
 so at the bound its memory stays near the dense map's, about 23 bytes per
@@ -61,7 +62,7 @@ from . import __version__
 from .errors import ParseError
 from .linalg import QQ, Field, Matrix
 from .quiver import Quiver
-from .rep import Representation, _blocks
+from .rep import Representation, _phi_size
 
 __all__ = [
     "parse_field",
@@ -190,10 +191,12 @@ def _parse_matrix_literal(s: str, field: Field, rows: int, cols: int, lineno: in
 
 
 def check_pair_size(M: Representation, N: Representation) -> None:
-    """Refuse a pair whose Hom/Ext commutation map would exceed MAX_MAP_ENTRIES."""
-    (_, cols), (_, rows) = _blocks(M, N)
-    if rows * cols > MAX_MAP_ENTRIES:
-        raise ParseError(f"Hom/Ext of this pair needs a {rows}x{cols} map, over the bound of {MAX_MAP_ENTRIES} entries")
+    """Refuse a pair whose Hom/Ext commutation map would exceed
+    MAX_MAP_ENTRIES; a pair on different quivers or fields raises
+    MismatchError first."""
+    cod, dom = _phi_size(M, N)
+    if cod * dom > MAX_MAP_ENTRIES:
+        raise ParseError(f"Hom/Ext of this pair needs a {cod}x{dom} map, over the bound of {MAX_MAP_ENTRIES} entries")
 
 
 def parse_rep_file(text: str, quiver: Quiver) -> tuple[str, Representation]:

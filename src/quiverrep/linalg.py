@@ -13,13 +13,12 @@ rows below the pivot that have an entry in its column, from that column on:
 Bareiss leaves the others unscaled and catches each up by an exact division
 when a later step reads it.  Pivoting is canonical (first
 nonzero entry in column order, lowest row first), so every basis returned is
-reproducible bit for bit.  The eliminations work on plain row lists.
-`_sparse_kernel`, `_sparse_cokernel` and `_sparse_solve` take a matrix as
-sparse rows {column: canonical entry} and turn them into lists once, so
-`rep` hands them the commutation map's rows as it builds them;
-`kernel_basis`, `cokernel_basis` and `solve` are those three on a
-`Matrix`'s rows.  The reflection functors call `_kernel_of_rows` on rows
-they assemble without building a `Matrix`.
+reproducible bit for bit.  The eliminations work on plain row lists:
+`kernel_basis`, `cokernel_basis` and `solve` are `_kernel_of_rows`,
+`_cokernel_of_rows` and `_solve_rows` on a `Matrix`'s rows, and `rep` hands
+those three the commutation map's rows, which it turns from sparse rows
+into lists once with `_dense`.  The reflection functors call
+`_kernel_of_rows` on rows they assemble without building a `Matrix`.
 
 A rank does not depend on pivot order, so questions that need only a rank go
 to one rank engine on sparse rows.  One pipeline, `_rank_mod`, ranks integer
@@ -568,22 +567,27 @@ def rank(A: Matrix) -> int:
 
 def kernel_basis(A: Matrix) -> list[tuple]:
     """Canonical basis of the right kernel {x : Ax = 0}, one vector per free column."""
-    return _sparse_kernel(A.field, _sparse_rows(A), A.cols)
+    return _kernel_of_rows(A.field, A.row_lists(), A.cols)
 
 
 def cokernel_basis(A: Matrix) -> list[tuple]:
     """Standard-basis representatives of target/im(A), one per non-pivot coordinate."""
-    return _sparse_cokernel(A.field, _sparse_rows(A), A.cols)
+    return _cokernel_of_rows(A.field, A.row_lists())
 
 
 def solve(A: Matrix, b: Sequence):
     """Some exact solution of Ax = b with free variables zero, or None."""
-    return _sparse_solve(A.field, _sparse_rows(A), A.cols, [A.field.canon(x) for x in b])
+    return _solve_rows(A.field, A.row_lists(), A.cols, [A.field.canon(x) for x in b])
+
+
+# --- bases and solutions on row lists -----------------------------------
+#
+# Each routine takes a matrix as plain rows of canonical elements of field
+# and eliminates them in place.
 
 
 def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
-    """`kernel_basis` of the n-column matrix with rows `rows_`, whose entries
-    are canonical elements of field; the rows are eliminated in place."""
+    """`kernel_basis` of the n-column matrix with rows `rows_`."""
     pivots = _echelon(field, rows_, n)
     free = _free_columns(n, pivots)
     vals = _back_substitute(field, rows_, pivots, free)
@@ -598,33 +602,24 @@ def _kernel_of_rows(field: Field, rows_: list[list], n: int) -> list[tuple]:
     return basis
 
 
-# --- bases and solutions on sparse rows ---------------------------------
-#
-# Each routine takes an n-column matrix as sparse rows {column: canonical
-# entry}, consumes them, and turns them into lists once for the dense
-# elimination.
-
-
-def _sparse_kernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
-    """`kernel_basis`."""
-    return _kernel_of_rows(field, _dense(rows, range(n)), n)
-
-
-def _sparse_cokernel(field: Field, rows: list[dict], n: int) -> list[tuple]:
-    """`cokernel_basis`: the coordinates that are pivots of the column space
-    (a forward pass on the transposed lists) span the image, and the
-    remaining standard basis vectors descend to a basis of the cokernel."""
-    m = len(rows)
-    free = _free_columns(m, _echelon(field, [list(c) for c in zip(*_dense(rows, range(n)))], m))
+def _cokernel_of_rows(field: Field, rows_: list[list]) -> list[tuple]:
+    """`cokernel_basis` of the matrix with rows `rows_`: the coordinates that
+    are pivots of the column space (a forward pass on the transposed lists)
+    span the image, and the remaining standard basis vectors descend to a
+    basis of the cokernel."""
+    m = len(rows_)
+    free = _free_columns(m, _echelon(field, [list(c) for c in zip(*rows_)], m))
     return [tuple(int(t == i) for t in range(m)) for i in free]
 
 
-def _sparse_solve(field: Field, rows: list[dict], n: int, b: Sequence):
-    """`solve` with canonical right-hand side b, on the rows augmented by it."""
-    m = len(rows)
+def _solve_rows(field: Field, rows_: list[list], n: int, b: Sequence):
+    """`solve` on the n-column matrix with rows `rows_` and canonical
+    right-hand side b, by eliminating the rows augmented by it in place."""
+    m = len(rows_)
     if len(b) != m:
         raise ValueError(f"rhs length {len(b)} != row count {m}")
-    rows_ = [r + [bi] for r, bi in zip(_dense(rows, range(n)), b)]
+    for r, bi in zip(rows_, b):
+        r.append(bi)
     pivots = _echelon(field, rows_, n + 1)
     if n in pivots:
         return None

@@ -17,6 +17,10 @@ The two terms land on the same entry only for a loop (source(a) ==
 target(a)), and only there are entries added.  `commutation_map` is the
 dense `Matrix` view of the same rows.
 
+Phi's shape is read off the dimension vectors: `_phi_size` checks that M
+and N are compatible and returns the codomain and domain sizes, and
+`_split` cuts a coordinate vector into the vertex or arrow blocks.
+
 Questions about one pair share one rank.  A slot holds the facts of the
 last pair asked about: Phi's domain and codomain sizes, an upper bound on
 its rank, and its rank as far as the linalg rank engine has run (`_pair`).
@@ -26,17 +30,18 @@ would hash both modules on every question, where an identity test costs
 nothing.  The slot keeps only numbers and the references to M and N, which
 stay alive until another pair is asked about; it never keeps rows.
 
-A question about a pair the slot does not hold builds Phi's rows, which it
-needs anyway, and makes the facts from them.  `hom_space` answers an empty
-basis when the rank is the domain size, `ext1_space` an empty cocycle list
-and `is_coboundary` True when it is the codomain size; only a rank equal
-to the bound can be either, and the slot ranks a copy of the rows for it
-when it has no rank yet.  Otherwise the rows, rebuilt if the slot already
-held the pair, go to the sparse kernel, cokernel or solve, which consume
-them.  Over Q the slot first holds the rank mod the residue prime, a lower
-bound that settles every full-rank question; `hom_ext_dims`, which needs
-the rank itself, runs the pipeline over Z only when that bound falls short
-of the upper one.  So no question eliminates more than it would alone.
+A question about a pair the slot does not hold makes the facts from Phi's
+size alone.  Phi's rows are built only where a question eliminates them.
+`hom_space` answers an empty basis when the rank is the domain size,
+`ext1_space` an empty cocycle list and `is_coboundary` True when it is the
+codomain size; only a rank equal to the bound can be either, and the slot
+ranks a copy of the rows for it when it has no rank yet.  Otherwise the
+rows go to the linalg kernel, cokernel or solve as lists, turned from
+sparse rows once (`_phi_unless_full`).  Over Q the slot first holds the
+rank mod the residue prime, a lower bound that settles every full-rank
+question; `hom_ext_dims`, which needs the rank itself, runs the pipeline
+over Z only when that bound falls short of the upper one.  So no question
+eliminates more than it would alone.
 """
 
 from __future__ import annotations
@@ -44,11 +49,12 @@ from __future__ import annotations
 import itertools
 import random
 from enum import Enum
-from itertools import compress
+from itertools import accumulate, compress, starmap
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import MismatchError
-from .linalg import Field, Matrix, _dense, _rank_lower_bound, _rank_of, _sparse_cokernel, _sparse_kernel, _sparse_solve, rank
+from .linalg import Field, Matrix, _cokernel_of_rows, _dense, _kernel_of_rows, _rank_lower_bound, _rank_of, _solve_rows, rank
 from .quiver import Quiver
 from .value import Value, setfield
 
@@ -122,6 +128,7 @@ class Representation(Value):
 
     @staticmethod
     def simple(quiver: Quiver, field: Field, i: int) -> "Representation":
+        quiver._check_vertex(i)
         dims = tuple(1 if j == i else 0 for j in range(quiver.vertex_count))
         return Representation.from_maps(quiver, field, dims)
 
@@ -166,38 +173,36 @@ def _check_compatible(M: Representation, N: Representation):
         raise MismatchError(f"field mismatch: {M.field} vs {N.field}")
 
 
-def _blocks(M: Representation, N: Representation) -> list[tuple[list[tuple[int, int, int]], int]]:
-    """Phi's block layout: [(domain blocks, domain size), (codomain blocks, codomain size)].
-
-    A block is (offset, rows, cols): one N_i x M_i block per vertex i in the
-    domain, one N_target(a) x M_source(a) block per arrow a in the codomain.
-    """
-    layout = []
-    for shapes in (zip(N.dims, M.dims), [(N.dims[a.target], M.dims[a.source]) for a in M.quiver.arrows]):
-        blocks, pos = [], 0
-        for rows, cols in shapes:
-            blocks.append((pos, rows, cols))
-            pos += rows * cols
-        layout.append((blocks, pos))
-    return layout
+def _phi_size(M: Representation, N: Representation) -> tuple[int, int]:
+    """(cod, dom): Phi's codomain and domain sizes, read off the dimension
+    vectors once M and N are checked to be compatible."""
+    _check_compatible(M, N)
+    return sum(starmap(mul, _arrow_shapes(M, N))), sum(map(mul, N.dims, M.dims))
 
 
-def _split(vec: Sequence, blocks: list[tuple[int, int, int]], field: Field) -> tuple[Matrix, ...]:
-    """Cut a coordinate vector into one matrix per block."""
-    return tuple(Matrix(field, rows, cols, vec[off : off + rows * cols]) for off, rows, cols in blocks)
+def _arrow_shapes(M: Representation, N: Representation) -> list[tuple[int, int]]:
+    """The codomain's block shapes: N_target(a) x M_source(a) per arrow a."""
+    return [(N.dims[a.target], M.dims[a.source]) for a in M.quiver.arrows]
 
 
-def _phi_rows(M: Representation, N: Representation) -> tuple[list[dict], int]:
+def _split(vec: Sequence, shapes: Iterable[tuple[int, int]], field: Field) -> tuple[Matrix, ...]:
+    """Cut a coordinate vector into one matrix per block shape, in order."""
+    out, pos = [], 0
+    for rows, cols in shapes:
+        out.append(Matrix(field, rows, cols, vec[pos : pos + rows * cols]))
+        pos += rows * cols
+    return tuple(out)
+
+
+def _phi_rows(M: Representation, N: Representation) -> list[dict]:
     """Phi's rows in codomain order, each {domain coordinate: nonzero entry},
-    and the domain size.
+    for a compatible pair.
 
     Row (t, j) of arrow a's block holds row t of g_a at the entries u_source(a)[c, j]
     and minus column j of f_a at the entries u_target(a)[t, c]; the two sets meet
     only when a is a loop, where they are added.  Entries are canonical.
     """
-    _check_compatible(M, N)
-    (vblocks, dom), _ = _blocks(M, N)
-    voffs = [off for off, _, _ in vblocks]
+    voffs = list(accumulate(map(mul, N.dims, M.dims), initial=0))
     p = M.field.char
     rows = []
     for a, f, g in zip(M.quiver.arrows, M.maps, N.maps):
@@ -222,13 +227,13 @@ def _phi_rows(M: Representation, N: Representation) -> tuple[list[dict], int]:
                         else:
                             del row[c]
                 rows.append(row)
-    return rows, dom
+    return rows
 
 
 def commutation_map(M: Representation, N: Representation) -> Matrix:
     """Matrix of Phi(u)_a = g_a u_source(a) - u_target(a) f_a in the documented coordinates."""
-    rows, dom = _phi_rows(M, N)
-    return Matrix(M.field, len(rows), dom, [x for row in _dense(rows, range(dom)) for x in row])
+    cod, dom = _phi_size(M, N)
+    return Matrix(M.field, cod, dom, [x for row in _dense(_phi_rows(M, N), range(dom)) for x in row])
 
 
 # The facts of the last pair asked about: [M, N, dom, cod, bound, r, exact];
@@ -236,11 +241,10 @@ def commutation_map(M: Representation, N: Representation) -> Matrix:
 _last: list = [None, None]
 
 
-def _pair(M: Representation, N: Representation) -> tuple[list, list[dict] | None]:
-    """The slot's facts about the pair of these very objects M and N, and
-    Phi's rows when the slot held another pair and they were built to make
-    the facts afresh, else None.  Every question needs the rows then, so the
-    caller uses these.
+def _pair(M: Representation, N: Representation) -> list:
+    """The slot's facts about the pair of these very objects M and N, made
+    from Phi's size when the slot held another pair, which checks that M and
+    N are compatible.
 
     The facts are Phi's domain and codomain sizes, an upper bound on its
     rank, and its rank as far as a rank engine has run.  The bound is
@@ -253,72 +257,69 @@ def _pair(M: Representation, N: Representation) -> tuple[list, list[dict] | None
     global _last
     facts = _last  # one read: another thread may replace the slot between two
     if facts[0] is M and facts[1] is N:
-        return facts, None
-    rows, dom = _phi_rows(M, N)
-    cod = len(rows)
+        return facts
+    cod, dom = _phi_size(M, N)
     _last = facts = [M, N, dom, cod, min(cod, dom - 1 if dom and M == N else dom), None, False]
-    return facts, rows
+    return facts
 
 
-def _phi_unless_full(M: Representation, N: Representation, onto: bool) -> tuple[list[dict] | None, int]:
-    """(Phi's rows, dom), with None for the rows when Phi is onto (onto true)
-    or one to one (onto false), which only a rank equal to the bound can show.
-    When the slot holds no rank and the bound is that size, a copy of the
-    rows is ranked for the slot, as the lower bound consumes or rescales them."""
-    facts, rows = _pair(M, N)
+def _phi_unless_full(M: Representation, N: Representation, onto: bool) -> tuple[list[list] | None, int]:
+    """(Phi's rows as lists, dom), with None for the rows when Phi is onto
+    (onto true) or one to one (onto false), which only a rank equal to the
+    bound can show.  The rows are built only when the slot cannot answer;
+    when it holds no rank and the bound is that size, a copy of them is
+    ranked for the slot, as the lower bound consumes or rescales the rows."""
+    facts = _pair(M, N)
     _, _, dom, cod, bound, r, _ = facts
     n = cod if onto else dom
-    if r is None and n == bound:
-        if rows is None:
-            rows, _ = _phi_rows(M, N)
-        r = _rank_lower_bound(M.field, [row.copy() for row in rows], bound)
-        facts[5:] = r, M.field.char > 0 or r == bound
     if r == n:
         return None, dom
-    return (_phi_rows(M, N)[0] if rows is None else rows), dom
+    rows = _phi_rows(M, N)
+    if r is None and n == bound:
+        r = _rank_lower_bound(M.field, [row.copy() for row in rows], bound)
+        facts[5:] = r, M.field.char > 0 or r == bound
+    return (None if r == n else _dense(rows, range(dom))), dom
 
 
 def hom_space(M: Representation, N: Representation) -> MorphismSpace:
     """Canonical basis of the space of quiver morphisms M -> N."""
     rows, dom = _phi_unless_full(M, N, onto=False)
-    (vblocks, _), _ = _blocks(M, N)
-    basis = [] if rows is None else _sparse_kernel(M.field, rows, dom)
-    return MorphismSpace(M, N, (_split(v, vblocks, M.field) for v in basis))
+    basis = [] if rows is None else _kernel_of_rows(M.field, rows, dom)
+    shapes = list(zip(N.dims, M.dims))
+    return MorphismSpace(M, N, (_split(v, shapes, M.field) for v in basis))
 
 
 def ext1_space(M: Representation, N: Representation) -> ExtSpace:
     """Cocycle representatives of Ext^1(M, N) as a cokernel of the commutation map."""
-    rows, dom = _phi_unless_full(M, N, onto=True)
-    _, (ablocks, _) = _blocks(M, N)
-    cocycles = [] if rows is None else _sparse_cokernel(M.field, rows, dom)
-    return ExtSpace(M, N, (_split(v, ablocks, M.field) for v in cocycles))
+    rows, _ = _phi_unless_full(M, N, onto=True)
+    cocycles = [] if rows is None else _cokernel_of_rows(M.field, rows)
+    shapes = _arrow_shapes(M, N)
+    return ExtSpace(M, N, (_split(v, shapes, M.field) for v in cocycles))
 
 
 def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:
     """(dim Hom, dim Ext^1) from a single rank computation: the slot's, or
     the rank engine's at the bound on rows built for it.  A rational lower
     bound in the slot leaves only the pipeline over Z to run."""
-    facts, rows = _pair(M, N)
+    facts = _pair(M, N)
     _, _, dom, cod, bound, r, exact = facts
     if not exact:
-        if rows is None:
-            rows, _ = _phi_rows(M, N)
-        r = _rank_of(M.field, rows, bound, r)
+        r = _rank_of(M.field, _phi_rows(M, N), bound, r)
         facts[5:] = r, True
     return dom - r, cod - r
 
 
 def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -> bool:
     """Whether an arrow-indexed cocycle lies in the image of the commutation map."""
-    _check_compatible(M, N)
-    _, (ablocks, _) = _blocks(M, N)
-    if len(eta) != len(ablocks):
+    _pair(M, N)  # refuses an incompatible pair before eta is read
+    shapes = _arrow_shapes(M, N)
+    if len(eta) != len(shapes):
         raise MismatchError("need one matrix per arrow")
-    for a, (_, rows, cols), m in zip(M.quiver.arrows, ablocks, eta):
+    for a, (rows, cols), m in zip(M.quiver.arrows, shapes, eta):
         if m.rows != rows or m.cols != cols or m.field != M.field:
             raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
     phi_rows, dom = _phi_unless_full(M, N, onto=True)
-    return phi_rows is None or _sparse_solve(M.field, phi_rows, dom, [x for m in eta for x in m.entries]) is not None
+    return phi_rows is None or _solve_rows(M.field, phi_rows, dom, [x for m in eta for x in m.entries]) is not None
 
 
 def end_dim(M: Representation) -> int:
@@ -335,24 +336,12 @@ def is_schur(M: Representation) -> bool:
 def direct_sum(M: Representation, N: Representation) -> Representation:
     """Blockwise direct sum, M in the upper-left blocks."""
     _check_compatible(M, N)
-    Q = M.quiver
-    field = M.field
-    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
     mats = []
-    for k, a in enumerate(Q.arrows):
-        f, g = M.maps[k], N.maps[k]
-        rows_, cols_ = dims[a.target], dims[a.source]
-        flat = []
-        for i in range(rows_):
-            for j in range(cols_):
-                if i < f.rows and j < f.cols:
-                    flat.append(f.entry(i, j))
-                elif i >= f.rows and j >= f.cols:
-                    flat.append(g.entry(i - f.rows, j - f.cols))
-                else:
-                    flat.append(0)
-        mats.append(Matrix(field, rows_, cols_, flat))
-    return Representation(Q, field, dims, mats)
+    for f, g in zip(M.maps, N.maps):
+        right, left = (0,) * g.cols, (0,) * f.cols
+        rows = [f.row(i) + right for i in range(f.rows)] + [left + g.row(i) for i in range(g.rows)]
+        mats.append(Matrix.from_rows(M.field, rows, f.cols + g.cols))
+    return Representation(M.quiver, M.field, tuple(map(add, M.dims, N.dims)), mats)
 
 
 class IsoVerdict(Enum):

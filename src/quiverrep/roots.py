@@ -40,6 +40,7 @@ class RootSet(Value):
 
 def simple_reflection(Q: Quiver, i: int, d: Sequence[int]) -> tuple[int, ...]:
     """Reflect an integer vector in the hyperplane of the i-th simple root."""
+    Q._check_vertex(i)
     if Q.tits_matrix[i][i] != 2:
         raise ValueError(f"vertex {i} carries a loop; reflection undefined")
     if len(d) != Q.vertex_count:

@@ -15,6 +15,8 @@ Bareiss pass, and the closure of the simple roots under every reflection is
 the reference for the height-raising one.  The eager Bareiss elimination,
 which rescales every row below the pivot at every step, is the library's
 earlier form, kept as the reference for the one that defers the rescaling.
+The direct sum filled entry by entry is the library's earlier form, kept as
+the reference for the one built from padded rows.
 Hom and Ext^1 between indecomposables of a Dynkin quiver come from the
 Euler form, by its own sum over the arrow list, with no elimination.
 None of it shares code with the package under test.
@@ -350,6 +352,26 @@ def columnwise_commutation_map(M: Representation, N: Representation) -> tuple[in
                 cols.append(col)
     dom = len(cols)
     return cod, dom, tuple(cols[j][i] for i in range(cod) for j in range(dom))
+
+
+def direct_sum_by_entries(M: Representation, N: Representation) -> Representation:
+    """M (+) N with M in the upper-left blocks, each arrow's matrix filled
+    entry by entry: f's entries, g's shifted past them, zeros elsewhere."""
+    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
+    mats = []
+    for a, f, g in zip(M.quiver.arrows, M.maps, N.maps):
+        rows_, cols_ = dims[a.target], dims[a.source]
+        flat = []
+        for i in range(rows_):
+            for j in range(cols_):
+                if i < f.rows and j < f.cols:
+                    flat.append(f.entry(i, j))
+                elif i >= f.rows and j >= f.cols:
+                    flat.append(g.entry(i - f.rows, j - f.cols))
+                else:
+                    flat.append(0)
+        mats.append(Matrix(M.field, rows_, cols_, flat))
+    return Representation(M.quiver, M.field, dims, mats)
 
 
 def reflect_at_source_by_projection(Q: Quiver, i: int, M: Representation) -> Representation:

@@ -224,6 +224,20 @@ class TestExt:
             f"error: Hom/Ext of this pair needs a 20224x20480 map, over the bound of {MAX_MAP_ENTRIES} entries\n"
         )
 
+    def test_field_mismatch_of_an_oversized_pair_exit_4_first(self, tmp_path, monkeypatch):
+        """The same A80 pair with one file over F3: the field check comes
+        before the size check, and nothing is assembled."""
+        monkeypatch.setattr("quiverrep.rep._phi_rows", None)  # Phi's rows may not be built
+        q = tmp_path / "a80.quiver"
+        q.write_text(quiver_file_text(build_quiver("A", 80)))
+        dims = "".join(f"dim {v} = {MAX_DIM}\n" for v in range(1, 81))
+        big_q = self._write_rep(tmp_path, "q.rep", "rep B over Q\n" + dims)
+        big_f3 = self._write_rep(tmp_path, "f3.rep", "rep C over F3\n" + dims)
+        start = time.perf_counter()
+        code, out, err = run_cli(["ext", str(q), "--from", big_q, "--to", big_f3])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (4, "", "error: field mismatch: Q vs F3\n")
+
     @pytest.mark.parametrize("kind, rank", [("E", 8), ("D", 33), ("D", 80)])
     def test_highest_root_pair_accepted(self, kind, rank, tmp_path):
         """Every positive root lies below the highest root, so the D80 highest root

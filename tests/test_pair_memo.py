@@ -52,7 +52,7 @@ def _copy(M: Representation) -> Representation:
 
 def _cocycle(M, N, kind: str, rng: random.Random) -> tuple[Matrix, ...]:
     """A zero cocycle, a random one, or the coboundary of a random u."""
-    (_, dom), (ablocks, cod) = rep._blocks(M, N)
+    cod, dom = rep._phi_size(M, N)
     p = M.field.char
     if kind == "zero":
         vec = [0] * cod
@@ -60,8 +60,8 @@ def _cocycle(M, N, kind: str, rng: random.Random) -> tuple[Matrix, ...]:
         vec = [rng.randrange(p) if p else rng.randint(-3, 3) for _ in range(cod)]
     else:
         u = [rng.randrange(p) if p else Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dom)]
-        vec = [sum(x * u[c] for c, x in row.items()) for row in rep._phi_rows(M, N)[0]]
-    return rep._split(vec, ablocks, M.field)
+        vec = [sum(x * u[c] for c, x in row.items()) for row in rep._phi_rows(M, N)]
+    return rep._split(vec, rep._arrow_shapes(M, N), M.field)
 
 
 def _flat(mats) -> tuple:
@@ -72,16 +72,17 @@ def _memo_free(question: str, M, N, eta):
     """The answer from the linalg engine on fresh rows, with no slot and no
     full-rank shortcut: bases and cocycles as flat coordinate tuples."""
     field = M.field
-    rows, dom = rep._phi_rows(M, N)
-    cod = len(rows)
+    cod, dom = rep._phi_size(M, N)
+    rows = rep._phi_rows(M, N)
     if question == "dims":
         r = linalg._rank_of(field, rows, min(cod, dom))
         return dom - r, cod - r
+    rows = linalg._dense(rows, range(dom))
     if question == "hom":
-        return linalg._sparse_kernel(field, rows, dom)
+        return linalg._kernel_of_rows(field, rows, dom)
     if question == "ext":
-        return linalg._sparse_cokernel(field, rows, dom)
-    return linalg._sparse_solve(field, rows, dom, [x for m in eta for x in m.entries]) is not None
+        return linalg._cokernel_of_rows(field, rows)
+    return linalg._solve_rows(field, rows, dom, [x for m in eta for x in m.entries]) is not None
 
 
 def _ask(question: str, M, N, eta):
@@ -179,8 +180,8 @@ def _before_the_slot(question: str, M, N, eta) -> None:
     bound; the other three check full rank on a copy of the rows when Phi's
     shape allows it, and eliminate the rows when the check fails."""
     field = M.field
-    rows, dom = rep._phi_rows(M, N)
-    cod = len(rows)
+    cod, dom = rep._phi_size(M, N)
+    rows = rep._phi_rows(M, N)
 
     def full(bound: int) -> bool:
         return linalg._rank_lower_bound(field, [r.copy() for r in rows], bound) == bound
@@ -189,12 +190,12 @@ def _before_the_slot(question: str, M, N, eta) -> None:
         linalg._rank_of(field, rows, min(cod, dom - 1 if dom and M == N else dom))
     elif question == "hom":
         if not (dom <= cod and full(dom)):
-            linalg._sparse_kernel(field, rows, dom)
+            linalg._kernel_of_rows(field, linalg._dense(rows, range(dom)), dom)
     elif not (cod <= dom and full(cod)):
         if question == "ext":
-            linalg._sparse_cokernel(field, rows, dom)
+            linalg._cokernel_of_rows(field, linalg._dense(rows, range(dom)))
         else:
-            linalg._sparse_solve(field, rows, dom, [x for m in eta for x in m.entries])
+            linalg._solve_rows(field, linalg._dense(rows, range(dom)), dom, [x for m in eta for x in m.entries])
 
 
 def _counting(monkeypatch) -> dict:

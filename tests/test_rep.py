@@ -46,7 +46,7 @@ from quiverrep.rep import (
 )
 
 from conftest import load_tool
-from oracles import columnwise_commutation_map, matmul, naive_hom_ext
+from oracles import columnwise_commutation_map, direct_sum_by_entries, matmul, naive_hom_ext
 
 F2 = Field(2)
 F3 = Field(3)
@@ -167,7 +167,30 @@ class TestEndAndSchur:
             is_schur(Representation.zero(A2, QQ))
 
 
+class TestSimple:
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_a_vertex_out_of_range_is_refused(self, vertex):
+        """-1 and 3 would both give the zero representation of A3."""
+        with pytest.raises(ValueError, match=rf"^vertex {vertex} is not a vertex of a quiver with 3 vertices$"):
+            Representation.simple(build_quiver("A", 3), QQ, vertex)
+
+
 class TestDirectSum:
+    def test_matches_the_entrywise_sum(self):
+        """Seeded random pairs over Q and F3, on D5 and on a quiver with a
+        loop and a 2-cycle, zero dimensions included: the padded rows give
+        the entries of the entry-by-entry sum."""
+        rng = random.Random(23)
+        loop = Quiver.from_edges(("1", "2"), (("a1", 0, 0), ("a2", 0, 1), ("a3", 1, 0)))
+        zero_dims = 0
+        for field in (QQ, F3):
+            for q in (build_quiver("D", 5, "alternating"), loop):
+                for _ in range(20):
+                    m, n = random_rep(q, field, rng), random_rep(q, field, rng)
+                    zero_dims += 0 in m.dims + n.dims
+                    assert direct_sum(m, n) == direct_sum_by_entries(m, n)
+        assert zero_dims > 0
+
     def test_sum_with_zero(self):
         m = direct_sum(P1, Representation.zero(A2, QQ))
         assert is_isomorphic(m, P1)
@@ -429,11 +452,11 @@ def test_is_coboundary_builds_phi_once_when_phi_is_not_onto(monkeypatch):
         (m, m, [1, 2], True, 0, 1),
         (m, m, [0, 5], True, 0, 0),
     ]
-    cases = [(M, N, rep._split(vec, rep._blocks(M, N)[1][0], QQ), *rest) for M, N, vec, *rest in cases]
+    cases = [(M, N, rep._split(vec, rep._arrow_shapes(M, N), QQ), *rest) for M, N, vec, *rest in cases]
     calls, solves = [], []
-    phi_rows, sparse_solve = rep._phi_rows, rep._sparse_solve
+    phi_rows, solve_rows = rep._phi_rows, rep._solve_rows
     monkeypatch.setattr(rep, "_phi_rows", lambda M, N: calls.append((M, N)) or phi_rows(M, N))
-    monkeypatch.setattr(rep, "_sparse_solve", lambda *args: solves.append(args) or sparse_solve(*args))
+    monkeypatch.setattr(rep, "_solve_rows", lambda *args: solves.append(args) or solve_rows(*args))
     monkeypatch.setattr(rep, "commutation_map", _never_dense)
     for M, N, eta, verdict, solve_count, phi_count in cases:
         calls.clear()

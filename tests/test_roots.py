@@ -32,6 +32,12 @@ class TestSimpleReflection:
         with pytest.raises(ValueError):
             simple_reflection(q, 0, (1, 1))
 
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_a_vertex_out_of_range_is_refused(self, vertex):
+        """-1 would reflect at the last vertex and 3 raise a bare IndexError."""
+        with pytest.raises(ValueError, match=rf"^vertex {vertex} is not a vertex of a quiver with 3 vertices$"):
+            simple_reflection(build_quiver("A", 3), vertex, (1, 1, 1))
+
 
 class TestPositiveRoots:
     def test_a2(self):

@@ -38,6 +38,7 @@ REP = "src/quiverrep/rep.py"
 QUIVER = "src/quiverrep/quiver.py"
 CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
 MEMO = "tests/test_pair_memo.py"
+CLOSED_FORM = "tests/test_closed_form.py"
 
 # (name, file, old text, new text, test ids expected to fail)
 MUTATIONS = [
@@ -87,7 +88,7 @@ MUTATIONS = [
         "coboundary-without-full-rank-answer",
         REP,
         "phi_rows, dom = _phi_unless_full(M, N, onto=True)",
-        "phi_rows, dom = _phi_rows(M, N)",
+        "dom = _phi_size(M, N)[1]\n    phi_rows = _dense(_phi_rows(M, N), range(dom))",
         ["tests/test_rep.py::test_is_coboundary_builds_phi_once_when_phi_is_not_onto"],
     ),
     (
@@ -148,8 +149,8 @@ MUTATIONS = [
     (
         "pair-size-from-m-alone",
         "src/quiverrep/formats.py",
-        "(_, cols), (_, rows) = _blocks(M, N)",
-        "(_, cols), (_, rows) = _blocks(M, M)",
+        "cod, dom = _phi_size(M, N)",
+        "cod, dom = _phi_size(M, M)",
         ["tests/test_formats.py::test_pair_size_is_phi_size"],
     ),
     (
@@ -158,6 +159,13 @@ MUTATIONS = [
         "return not self.outgoing[i]",
         "return not self.incoming[i]",
         ["tests/test_indec.py::TestReflectAtSink"],
+    ),
+    (
+        "component-edges-from-the-whole-quiver",
+        QUIVER,
+        "    in_comp = set(comp)\n",
+        "    in_comp = set(range(Q.vertex_count))\n",
+        [f"{CLOSED_FORM}::test_the_tables_cover_the_shipped_finite_quivers", f"{CLOSED_FORM}::test_three_questions_on_sampled_pairs"],
     ),
     (
         "legs-counted-from-zero",
