@@ -21,6 +21,7 @@ from .errors import (
     MismatchError,
     NotARootError,
     ParseError,
+    _fmt_root,
 )
 from .formats import (
     check_pair_size,
@@ -76,21 +77,16 @@ def _error(message) -> None:
     print(f"error: {text}", file=sys.stderr)
 
 
-def _fmt_root(root) -> str:
-    return ",".join(str(c) for c in root)
-
-
-def _report(args, command: str, Q, field, result: dict, lines: list[str]) -> None:
-    """Write `result` as the JSON report of `command` under `--format json`,
-    else the table `lines`."""
+def _report(args, Q, field, result: dict, lines: list[str]) -> None:
+    """Write `result` as the JSON report of `args.command` under
+    `--format json`, else the table `lines`."""
     if args.format == "json":
-        sys.stdout.write(report_json(command, Q.name, field, result))
+        sys.stdout.write(report_json(args.command, Q.name, field, result))
     else:
         print("\n".join(lines))
 
 
-def _cmd_classify(args) -> int:
-    Q = parse_quiver_file(_read(args.quiverfile))
+def _cmd_classify(args, Q) -> int:
     verdict = classify(Q)
     if verdict.finite:
         result = {"finite": True, "components": [str(t) for t in verdict.components]}
@@ -98,18 +94,17 @@ def _cmd_classify(args) -> int:
     else:
         result = {"finite": False, "witness": verdict.witness}
         lines = ["verdict: infinite representation type", f"reason: {verdict.witness}"]
-    _report(args, "classify", Q, None, result, [f"quiver: {Q.name}", *lines])
+    _report(args, Q, None, result, [f"quiver: {Q.name}", *lines])
     if not verdict.finite:
         _error(f"infinite representation type: {verdict.witness}")
     return EXIT_OK if verdict.finite else EXIT_INFINITE
 
 
-def _cmd_roots(args) -> int:
-    Q = parse_quiver_file(_read(args.quiverfile))
+def _cmd_roots(args, Q) -> int:
     roots = positive_roots(Q)
     result = {"count": len(roots), "roots": [list(r) for r in roots]}
     lines = [f"quiver: {Q.name}", f"positive roots ({len(roots)}):", *map(_fmt_root, roots)]
-    _report(args, "roots", Q, None, result, lines)
+    _report(args, Q, None, result, lines)
     return EXIT_OK
 
 
@@ -136,8 +131,7 @@ def _parse_dim(text: str, expected: int):
     return coords
 
 
-def _cmd_indec(args) -> int:
-    Q = parse_quiver_file(_read(args.quiverfile))
+def _cmd_indec(args, Q) -> int:
     field = parse_field(args.field)
     d = _parse_dim(args.dim, Q.vertex_count)
     rep = construct_indecomposable(Q, d, field)
@@ -146,8 +140,7 @@ def _cmd_indec(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ext(args) -> int:
-    Q = parse_quiver_file(_read(args.quiverfile))
+def _cmd_ext(args, Q) -> int:
     _, src = parse_rep_file(_read(args.src), Q)
     _, dst = parse_rep_file(_read(args.dst), Q)
     check_pair_size(src, dst)
@@ -162,12 +155,11 @@ def _cmd_ext(args) -> int:
     result = {"hom_dim": hom, "ext_dim": ext, "euler_form": euler}
     lines = [f"quiver: {Q.name}", f"field: {src.field}"]
     lines += [f"dim Hom = {hom}", f"dim Ext1 = {ext}", f"euler form = {euler}"]
-    _report(args, "ext", Q, src.field, result, lines)
+    _report(args, Q, src.field, result, lines)
     return EXIT_OK
 
 
-def _cmd_verify_udr(args) -> int:
-    Q = parse_quiver_file(_read(args.quiverfile))
+def _cmd_verify_udr(args, Q) -> int:
     field = parse_field(args.field)
     if args.dim is None:
         modules = all_indecomposables(Q, field).entries
@@ -201,7 +193,7 @@ def _cmd_verify_udr(args) -> int:
     else:
         result = entries[0]
         failure = f"root {_fmt_root(d)} violates the theorem"
-    _report(args, "verify-udr", Q, field, result, lines)
+    _report(args, Q, field, result, lines)
     if verified != total:
         _error(failure)
     return EXIT_OK if verified == total else EXIT_INTERNAL
@@ -256,7 +248,7 @@ def main(argv=None) -> int:
         _error(exc)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, parse_quiver_file(_read(args.quiverfile)))
     except tuple(_EXIT_CODES) as exc:
         _error(exc)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -1,6 +1,12 @@
-"""Exception types shared across the package and mapped to CLI exit codes."""
+"""Exception types shared across the package and mapped to CLI exit codes,
+and `_fmt_root`, the one printer of a dimension vector in messages and tables."""
 
 from __future__ import annotations
+
+
+def _fmt_root(root) -> str:
+    """A dimension vector as the CLI and the error messages print it: `1,0,2`."""
+    return ",".join(str(c) for c in root)
 
 
 class QuiverRepError(Exception):
@@ -27,8 +33,7 @@ class NotARootError(QuiverRepError):
     def __init__(self, dim_vector, tits_value: int):
         self.dim_vector = tuple(dim_vector)
         self.tits_value = tits_value
-        coords = ",".join(str(c) for c in self.dim_vector)
-        super().__init__(f"({coords}) is not a positive root: q={tits_value}")
+        super().__init__(f"({_fmt_root(self.dim_vector)}) is not a positive root: q={tits_value}")
 
 
 class MismatchError(QuiverRepError):

@@ -33,7 +33,7 @@ import random
 from itertools import chain, cycle
 from typing import Iterable, Sequence
 
-from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError
+from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError, _fmt_root
 from .linalg import Field, Matrix, _kernel_of_rows
 from .quiver import Arrow, Quiver, classify, tits_form
 from .rep import Representation, is_schur
@@ -169,8 +169,7 @@ def _require_positive_root(Q: Quiver, d) -> tuple[int, ...]:
 
 
 def _fail(Q: Quiver, root: tuple[int, ...], step: int, v: int, what: str) -> InternalInvariantError:
-    coords = ",".join(str(c) for c in root)
-    return InternalInvariantError(f"quiver {Q.name}, root ({coords}), walk step {step}, vertex {Q.labels[v]}: {what}")
+    return InternalInvariantError(f"quiver {Q.name}, root ({_fmt_root(root)}), walk step {step}, vertex {Q.labels[v]}: {what}")
 
 
 def _walk(Q: Quiver, d: tuple[int, ...], vertices: cycle) -> list[tuple[int, ...]]:

@@ -104,14 +104,6 @@ class Field(Value):
         if char < 0 or char == 1 or (char > 1 and not _is_prime(char)):
             raise ValueError(f"field characteristic must be 0 or prime, got {char}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.char == other.char
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.char,))
-
     @property
     def is_rational(self) -> bool:
         return self.char == 0

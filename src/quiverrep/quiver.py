@@ -40,14 +40,6 @@ class Arrow(Value):
         setfield(self, "source", source)
         setfield(self, "target", target)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.source, self.target) == (other.name, other.source, other.target)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.source, self.target))
-
 
 class Quiver(Value):
     """Vertices are dense 0-based indices; labels are user-facing strings.

@@ -102,24 +102,18 @@ class Representation(Value):
                     f"{dims[arrow.target]}x{dims[arrow.source]}, got {m.rows}x{m.cols}"
                 )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.quiver, self.field, self.dims, self.maps) == (other.quiver, other.field, other.dims, other.maps)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.quiver, self.field, self.dims, self.maps))
-
     @staticmethod
     def from_maps(quiver: Quiver, field: Field, dims: Sequence[int], maps_by_name: dict[str, Matrix] | None = None) -> "Representation":
-        """Build a representation from a (possibly partial) arrow-name -> matrix dict."""
-        maps_by_name = maps_by_name or {}
+        """Build a representation from a (possibly partial) arrow-name -> matrix
+        dict; a missing arrow gets the zero map, and a name that is no arrow of
+        the quiver raises `ValueError`."""
+        maps_by_name = dict(maps_by_name or {})
         mats = []
         for a in quiver.arrows:
-            m = maps_by_name.get(a.name)
-            if m is None:
-                m = Matrix.zeros(field, dims[a.target], dims[a.source])
-            mats.append(m)
+            m = maps_by_name.pop(a.name, None)
+            mats.append(Matrix.zeros(field, dims[a.target], dims[a.source]) if m is None else m)
+        if maps_by_name:
+            raise ValueError(f"unknown arrow {next(iter(maps_by_name))!r}")
         return Representation(quiver, field, dims, mats)
 
     @staticmethod

@@ -4,9 +4,9 @@ A value class names its fields in `_fields` and stores them in its own
 `__init__` with `setfield` (`object.__setattr__`), since assigning or deleting
 an attribute afterwards raises `AttributeError`.  Two values are equal when
 they are of the same class and their fields are equal, and they hash and
-print (`Arrow(name='a', source=0, target=1)`) by the same fields.  The few
-classes compared in hot loops write `__eq__` and `__hash__` out by hand, as
-field tuples; the rest use the attrgetter key built here once per class.
+print (`Arrow(name='a', source=0, target=1)`) by the same fields, through
+the attrgetter key built here once per class.  `Quiver` alone writes its own
+`__eq__` and `__hash__`, because its equality ignores one field (`name`).
 Nothing is generated or executed at import.
 
 `Value` declares empty `__slots__`, so a subclass that declares its fields as

@@ -343,6 +343,7 @@ class TestUsageErrors:
             ["classify", "A2_linear", "extra"],
             ["indec", "A2_linear", "--dim", "1,1"],
             ["ext", "A2_linear", "--from", "A2_linear"],
+            ["roots", "no/such.quiver", "--format", "xml"],
         ],
     )
     def test_usage_error_exit_6_one_line(self, files, argv):
@@ -380,6 +381,26 @@ class TestOneLineErrors:
         code, _, err = run_cli(["classify", "a\x00b.quiver"])
         assert code == 1
         assert err == "error: cannot read a\\x00b.quiver: embedded null byte\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["roots"],
+            ["indec", "--dim", "x", "--field", "F4"],
+            ["ext", "--from", "missing.rep", "--to", "missing.rep"],
+            ["verify-udr", "--field", "F4", "--dim", "x"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_the_quiver_file_is_read_before_any_other_argument(self, tmp_path, argv):
+        """`main` reads the quiver file once, before the subcommand checks
+        `--field`, `--dim` or a `.rep` file, so its error is the one reported."""
+        path = tmp_path / "missing.quiver"
+        argv = [argv[0], str(path), *(str(tmp_path / a) if a.endswith(".rep") else a for a in argv[1:])]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {path}: No such file or directory\n"
 
     def test_line_break_in_argv_is_escaped(self, files):
         code, _, err = run_cli(["classify", files["A2_linear"], "x\ny"])

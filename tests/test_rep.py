@@ -175,6 +175,19 @@ class TestSimple:
             Representation.simple(build_quiver("A", 3), QQ, vertex)
 
 
+class TestFromMaps:
+    def test_an_unknown_arrow_alone_is_refused(self):
+        """Dropping the key would give the module with a zero map on `a1`."""
+        with pytest.raises(ValueError, match=r"^unknown arrow 'b9'$"):
+            Representation.from_maps(A2, QQ, (1, 1), {"b9": Matrix.from_rows(QQ, [[1]])})
+
+    def test_an_unknown_arrow_beside_a_valid_one_is_refused(self):
+        """The first unknown key is named, whatever its matrix's shape."""
+        maps = {"a1": Matrix.from_rows(QQ, [[1]]), "a1x": Matrix.zeros(QQ, 5, 5), "b9": Matrix.zeros(QQ, 1, 1)}
+        with pytest.raises(ValueError, match=r"^unknown arrow 'a1x'$"):
+            Representation.from_maps(A2, QQ, (1, 1), maps)
+
+
 class TestDirectSum:
     def test_matches_the_entrywise_sum(self):
         """Seeded random pairs over Q and F3, on D5 and on a quiver with a

@@ -39,6 +39,8 @@ QUIVER = "src/quiverrep/quiver.py"
 CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
 MEMO = "tests/test_pair_memo.py"
 CLOSED_FORM = "tests/test_closed_form.py"
+VALUE = "src/quiverrep/value.py"
+VALUES = "tests/test_values.py::test_value_semantics"
 
 # (name, file, old text, new text, test ids expected to fail)
 MUTATIONS = [
@@ -173,6 +175,67 @@ MUTATIONS = [
         "        length = 1\n",
         "        length = 0\n",
         ["tests/test_quiver.py::TestClassify"],
+    ),
+    (
+        "quiver-equality-reads-name",
+        QUIVER,
+        "return (self.labels, self.arrows) == (other.labels, other.arrows)",
+        "return (self.labels, self.arrows, self.name) == (other.labels, other.arrows, other.name)",
+        [VALUES],
+    ),
+    (
+        "setattr-does-not-refuse",
+        VALUE,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        [VALUES],
+    ),
+    (
+        # isinstance(other, self.__class__) would be equivalent here: no value
+        # class has a subclass.
+        "value-equality-isinstance-class-test",
+        VALUE,
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, Value):",
+        [VALUES],
+    ),
+    (
+        "classification-default-changed",
+        QUIVER,
+        "witness: str | None = None):",
+        'witness: str | None = ""):',
+        [VALUES],
+    ),
+    (
+        "repr-without-field-names",
+        VALUE,
+        'args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)',
+        'args = ", ".join(repr(getattr(self, f)) for f in self._fields)',
+        [VALUES],
+    ),
+    (
+        "quiver-imports-dataclasses",
+        QUIVER,
+        "from functools import cached_property\n",
+        "import dataclasses\nfrom functools import cached_property\n",
+        ["tests/test_cli.py::TestModuleEntry::test_import_loads_no_dataclass_machinery"],
+    ),
+    (
+        # The key dropping `maps` alone survives test_values.py, whose changed
+        # Representation also differs in `dims`; this drops every class's last
+        # field, `Representation.maps` among them.
+        "value-key-drops-the-last-field",
+        VALUE,
+        "cls._key = attrgetter(*cls._fields)",
+        "cls._key = attrgetter(*cls._fields[:-1] or cls._fields)",
+        [VALUES],
+    ),
+    (
+        "value-equality-always-true",
+        VALUE,
+        "return self._key(self) == self._key(other)",
+        "return True",
+        [VALUES],
     ),
 ]
 
