@@ -7,6 +7,11 @@ to M) precisely when their perturbations differ by a coboundary, so the
 tangent space is Ext^1(M, M) and its dimension bounds the generators of any
 deformation ring.  When End(M) = k and Ext^1(M, M) = 0 the ring is the
 ground field itself.
+
+A perturbation is a cochain of the commutation map Phi(M, M): one matrix per
+arrow, shaped like that arrow's map.  `make_lift` refuses any other with the
+same check `rep.is_coboundary` makes on its cocycle, and the tangent space
+dimension is `udr_report`'s Ext^1 dimension.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Sequence
 from .errors import MismatchError
 from .linalg import Matrix
 from .quiver import Quiver
-from .rep import Representation, hom_ext_dims, is_coboundary
+from .rep import Representation, _check_cochain, hom_ext_dims, is_coboundary
 from .value import Value, setfield
 
 __all__ = [
@@ -76,21 +81,13 @@ class UDRReport(Value):
 
 def tangent_space_dim(M: Representation) -> int:
     """Dimension of the space of first-order deformations of M."""
-    if M.is_zero():
-        raise ValueError("the zero representation has no deformation theory")
-    return hom_ext_dims(M, M)[1]
+    return udr_report(M.quiver, M).ext_dim
 
 
 def make_lift(M: Representation, g: Sequence[Matrix]) -> DualNumberLift:
     """Lift M over the dual numbers with perturbation matrices g (one per arrow)."""
     g = tuple(g)
-    if len(g) != len(M.quiver.arrows):
-        raise MismatchError("need one perturbation matrix per arrow")
-    for a, f, gm in zip(M.quiver.arrows, M.maps, g):
-        if gm.field != M.field or gm.rows != f.rows or gm.cols != f.cols:
-            raise MismatchError(
-                f"perturbation for {a.name!r} must be {f.rows}x{f.cols} over {M.field}"
-            )
+    _check_cochain(M, M, g, "perturbation")
     return DualNumberLift(M, g)
 
 

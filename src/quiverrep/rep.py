@@ -23,7 +23,7 @@ and N are compatible and returns the codomain and domain sizes, and
 
 Questions about one pair share one rank.  A slot holds the facts of the
 last pair asked about: Phi's domain and codomain sizes, an upper bound on
-its rank, and its rank as far as the linalg rank engine has run (`_pair`).
+its rank, and its rank once some question has found it (`_pair`).
 The key is the identities of M and N.  Representations are immutable, so
 the same two objects always give the same Phi; a cache keyed by value
 would hash both modules on every question, where an identity test costs
@@ -37,11 +37,11 @@ size alone.  Phi's rows are built only where a question eliminates them.
 codomain size; only a rank equal to the bound can be either, and the slot
 ranks a copy of the rows for it when it has no rank yet.  Otherwise the
 rows go to the linalg kernel, cokernel or solve as lists, turned from
-sparse rows once (`_phi_unless_full`).  Over Q the slot first holds the
-rank mod the residue prime, a lower bound that settles every full-rank
-question; `hom_ext_dims`, which needs the rank itself, runs the pipeline
-over Z only when that bound falls short of the upper one.  So no question
-eliminates more than it would alone.
+sparse rows once (`_phi_unless_full`).  Over Q that check is the rank mod
+the residue prime, a lower bound that settles every full-rank question; the
+slot keeps it only when it reaches the bound, where it is the rank, so the
+slot holds an exact rank or none.  `hom_ext_dims` ranks Phi when the slot
+holds no rank.  So no question eliminates more than it would alone.
 """
 
 from __future__ import annotations
@@ -179,6 +179,18 @@ def _arrow_shapes(M: Representation, N: Representation) -> list[tuple[int, int]]
     return [(N.dims[a.target], M.dims[a.source]) for a in M.quiver.arrows]
 
 
+def _check_cochain(M: Representation, N: Representation, eta: Sequence[Matrix], what: str) -> None:
+    """Refuse eta unless it is a cochain of Phi's codomain: one matrix per
+    arrow a, N_target(a) x M_source(a), over the field.  `what` names the
+    matrices in the message."""
+    shapes = _arrow_shapes(M, N)
+    if len(eta) != len(shapes):
+        raise MismatchError("need one matrix per arrow")
+    for a, (rows, cols), m in zip(M.quiver.arrows, shapes, eta):
+        if m.rows != rows or m.cols != cols or m.field != M.field:
+            raise MismatchError(f"{what} matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
+
+
 def _split(vec: Sequence, shapes: Iterable[tuple[int, int]], field: Field) -> tuple[Matrix, ...]:
     """Cut a coordinate vector into one matrix per block shape, in order."""
     out, pos = [], 0
@@ -230,8 +242,8 @@ def commutation_map(M: Representation, N: Representation) -> Matrix:
     return Matrix(M.field, cod, dom, [x for row in _dense(_phi_rows(M, N), range(dom)) for x in row])
 
 
-# The facts of the last pair asked about: [M, N, dom, cod, bound, r, exact];
-# see `_pair`.
+# The facts of the last pair asked about: [M, N, dom, cod, bound, r]; see
+# `_pair`.
 _last: list = [None, None]
 
 
@@ -241,19 +253,16 @@ def _pair(M: Representation, N: Representation) -> list:
     N are compatible.
 
     The facts are Phi's domain and codomain sizes, an upper bound on its
-    rank, and its rank as far as a rank engine has run.  The bound is
-    min(dom, cod), or dom - 1 for M == N, whose identity lies in the kernel.
-    r is None until the engine has run, then its result at the bound, and
-    `exact` says whether that is the rank: always over F_p, and over Q when
-    it reaches the bound; a rational r short of it is the rank mod the
-    residue prime, a lower bound.
+    rank, and its rank.  The bound is min(dom, cod), or dom - 1 for M == N,
+    whose identity lies in the kernel.  r is None until a question has found
+    the rank exactly.
     """
     global _last
     facts = _last  # one read: another thread may replace the slot between two
     if facts[0] is M and facts[1] is N:
         return facts
     cod, dom = _phi_size(M, N)
-    _last = facts = [M, N, dom, cod, min(cod, dom - 1 if dom and M == N else dom), None, False]
+    _last = facts = [M, N, dom, cod, min(cod, dom - 1 if dom and M == N else dom), None]
     return facts
 
 
@@ -262,16 +271,17 @@ def _phi_unless_full(M: Representation, N: Representation, onto: bool) -> tuple[
     (onto true) or one to one (onto false), which only a rank equal to the
     bound can show.  The rows are built only when the slot cannot answer;
     when it holds no rank and the bound is that size, a copy of them is
-    ranked for the slot, as the lower bound consumes or rescales the rows."""
+    ranked, as the lower bound consumes or rescales the rows, and the slot
+    keeps that rank when it is exact: over F_p, or when it reaches the bound."""
     facts = _pair(M, N)
-    _, _, dom, cod, bound, r, _ = facts
+    _, _, dom, cod, bound, r = facts
     n = cod if onto else dom
     if r == n:
         return None, dom
     rows = _phi_rows(M, N)
     if r is None and n == bound:
         r = _rank_lower_bound(M.field, [row.copy() for row in rows], bound)
-        facts[5:] = r, M.field.char > 0 or r == bound
+        facts[5] = r if M.field.char or r == bound else None
     return (None if r == n else _dense(rows, range(dom))), dom
 
 
@@ -293,25 +303,18 @@ def ext1_space(M: Representation, N: Representation) -> ExtSpace:
 
 def hom_ext_dims(M: Representation, N: Representation) -> tuple[int, int]:
     """(dim Hom, dim Ext^1) from a single rank computation: the slot's, or
-    the rank engine's at the bound on rows built for it.  A rational lower
-    bound in the slot leaves only the pipeline over Z to run."""
+    the rank engine's at the bound on rows built for it."""
     facts = _pair(M, N)
-    _, _, dom, cod, bound, r, exact = facts
-    if not exact:
-        r = _rank_of(M.field, _phi_rows(M, N), bound, r)
-        facts[5:] = r, True
+    _, _, dom, cod, bound, r = facts
+    if r is None:
+        r = facts[5] = _rank_of(M.field, _phi_rows(M, N), bound)
     return dom - r, cod - r
 
 
 def is_coboundary(M: Representation, N: Representation, eta: Sequence[Matrix]) -> bool:
     """Whether an arrow-indexed cocycle lies in the image of the commutation map."""
     _pair(M, N)  # refuses an incompatible pair before eta is read
-    shapes = _arrow_shapes(M, N)
-    if len(eta) != len(shapes):
-        raise MismatchError("need one matrix per arrow")
-    for a, (rows, cols), m in zip(M.quiver.arrows, shapes, eta):
-        if m.rows != rows or m.cols != cols or m.field != M.field:
-            raise MismatchError(f"cocycle matrix for {a.name!r} must be {rows}x{cols} over {M.field}")
+    _check_cochain(M, N, eta, "cocycle")
     phi_rows, dom = _phi_unless_full(M, N, onto=True)
     return phi_rows is None or _solve_rows(M.field, phi_rows, dom, [x for m in eta for x in m.entries]) is not None
 

@@ -74,8 +74,14 @@ class TestMakeLift:
     def test_shape_mismatch(self):
         with pytest.raises(MismatchError):
             make_lift(S12, [Matrix.zeros(QQ, 2, 2)])
-        with pytest.raises(MismatchError):
+        with pytest.raises(MismatchError, match="need one matrix per arrow"):
             make_lift(S12, [])
+
+    def test_wrong_field(self):
+        with pytest.raises(MismatchError, match="perturbation matrix for 'a1' must be 1x1 over Q"):
+            make_lift(P1, [Matrix.zeros(F3, 1, 1)])
+        with pytest.raises(MismatchError, match="perturbation matrix for 'a1' must be 1x1 over F3"):
+            make_lift(Representation.from_maps(A2, F3, (1, 1)), [Matrix.from_rows(QQ, [[1]])])
 
 
 class TestLiftsIsomorphic:

@@ -58,6 +58,14 @@ CASES = [
     (UDRReport, {"end_dim": 1, "ext_dim": 0}, {}, {}, {"ext_dim": 1}),
     (Matrix, {"field": QQ, "rows": 1, "cols": 2, "entries": (1, 2)}, {}, {}, {"entries": (1, 3)}),
 ]
+# A second Representation case: equal dims, and the maps alone differ.
+MAPS_ALONE = (
+    Representation,
+    {"quiver": Q, "field": QQ, "dims": (1, 1), "maps": (Matrix.zeros(QQ, 1, 1),)},
+    {},
+    {},
+    {"maps": (ONE,)},
+)
 # classes whose repr is not the field-by-field default
 REPRS = {Matrix: "Matrix(Q, 1x2: 1 2)"}
 
@@ -68,7 +76,8 @@ def assert_copies_equal(value):
 
 
 @pytest.mark.parametrize(
-    "cls, fields, defaults, uncompared, changed", CASES, ids=[c[0].__name__ for c in CASES]
+    "cls, fields, defaults, uncompared, changed",
+    [pytest.param(*c, id=c[0].__name__) for c in CASES] + [pytest.param(*MAPS_ALONE, id="Representation-maps")],
 )
 def test_value_semantics(cls, fields, defaults, uncompared, changed):
     a = cls(**fields)

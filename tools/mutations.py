@@ -36,11 +36,15 @@ CLI = "src/quiverrep/cli.py"
 LINALG = "src/quiverrep/linalg.py"
 REP = "src/quiverrep/rep.py"
 QUIVER = "src/quiverrep/quiver.py"
+FORMATS = "src/quiverrep/formats.py"
 CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
 MEMO = "tests/test_pair_memo.py"
 CLOSED_FORM = "tests/test_closed_form.py"
 VALUE = "src/quiverrep/value.py"
 VALUES = "tests/test_values.py::test_value_semantics"
+KERNEL = "tests/test_linalg.py::test_kernel_exactness_and_rref_idempotence"
+SOLVE = "tests/test_linalg.py::test_solve_verifies_by_substitution"
+ENGINE = "tests/test_linalg.py::test_rank_engine_matches_the_direct_elimination"
 
 # (name, file, old text, new text, test ids expected to fail)
 MUTATIONS = [
@@ -103,8 +107,8 @@ MUTATIONS = [
     (
         "pair-slot-lower-bound-taken-for-the-rank",
         REP,
-        "facts[5:] = r, M.field.char > 0 or r == bound",
-        "facts[5:] = r, True",
+        "facts[5] = r if M.field.char or r == bound else None",
+        "facts[5] = r",
         [f"{MEMO}::test_the_residue_pair_in_every_order", f"{MEMO}::test_interleaved_questions_match_the_memo_free_path"],
     ),
     (
@@ -127,8 +131,8 @@ MUTATIONS = [
     (
         "z-fallback-on-every-rational-rank",
         LINALG,
-        "return r if field.char or r == bound else _rank_mod(_integer_dict_rows(rows), 0, bound)",
-        "return r if field.char else _rank_mod(_integer_dict_rows(rows), 0, bound)",
+        "return r if field.char or r == bound else _rank_mod(rows, 0, bound)",
+        "return r if field.char else _rank_mod(rows, 0, bound)",
         ["tests/test_rep.py::test_full_rank_rational_pair_needs_no_bareiss"],
     ),
     (
@@ -150,7 +154,7 @@ MUTATIONS = [
     ),
     (
         "pair-size-from-m-alone",
-        "src/quiverrep/formats.py",
+        FORMATS,
         "cod, dom = _phi_size(M, N)",
         "cod, dom = _phi_size(M, M)",
         ["tests/test_formats.py::test_pair_size_is_phi_size"],
@@ -236,6 +240,107 @@ MUTATIONS = [
         "return self._key(self) == self._key(other)",
         "return True",
         [VALUES],
+    ),
+    (
+        "canon-int-unreduced-mod-p",
+        LINALG,
+        "return x % p if p else x",
+        "return x",
+        ["tests/test_linalg.py::test_prime_field_entries_reduced", "tests/test_linalg.py::test_bulk_canonicalization_equals_canon_per_entry"],
+    ),
+    (
+        "pair-slot-keeps-the-residue-rank",
+        REP,
+        "r = facts[5] = _rank_of(M.field, _phi_rows(M, N), bound)",
+        "r = facts[5] = _rank_lower_bound(M.field, _phi_rows(M, N), bound)",
+        [f"{MEMO}::test_the_residue_pair_in_every_order"],
+    ),
+    (
+        "cochain-check-skips-the-field",
+        REP,
+        "if m.rows != rows or m.cols != cols or m.field != M.field:",
+        "if m.rows != rows or m.cols != cols:",
+        ["tests/test_rep.py::TestIsCoboundary::test_shape_mismatch", "tests/test_deform.py::TestMakeLift::test_wrong_field"],
+    ),
+    # The back substitution (8291752).
+    (
+        "back-substitution-sign",
+        LINALG,
+        "acc = [a - f * b for a, b in zip(acc, ys[l])]",
+        "acc = [a + f * b for a, b in zip(acc, ys[l])]",
+        [KERNEL, SOLVE],
+    ),
+    (
+        "back-substitution-without-mod-p",
+        LINALG,
+        "            acc = [a % p for a in acc]\n",
+        "            pass\n",
+        ["tests/test_linalg.py::test_rational_elimination_matches_textbook_gauss_jordan"],
+    ),
+    (
+        "back-substitution-wrong-d",
+        LINALG,
+        "big_d = rows_[r - 1][pivots[-1]] if r else 1",
+        "big_d = rows_[0][pivots[0]] if r else 1",
+        [KERNEL, SOLVE],
+    ),
+    (
+        "back-substitution-skips-a-row",
+        LINALG,
+        "for l in range(k + 1, r):",
+        "for l in range(k + 2, r):",
+        [KERNEL, SOLVE],
+    ),
+    (
+        "kernel-entries-not-negated",
+        LINALG,
+        "v[pc] = (-row[t]) % p if p else -row[t]",
+        "v[pc] = row[t] % p if p else row[t]",
+        [KERNEL, "tests/test_linalg.py::TestKernel"],
+    ),
+    # The rank engine (374ffc5).
+    (
+        "unit-phase-any-nonzero-pivot-over-z",
+        LINALG,
+        "units = targets if p else [i for i in targets if rows[i][pc] in (1, -1)]",
+        "units = targets",
+        [ENGINE],
+    ),
+    (
+        "residue-rank-without-bareiss-fallback",
+        LINALG,
+        "return r if field.char or r == bound else _rank_mod(rows, 0, bound)",
+        "return r",
+        [ENGINE, "tests/test_linalg.py::test_rank_lost_mod_the_residue_prime_comes_from_bareiss"],
+    ),
+    (
+        "pair-slot-without-the-end-bound",
+        REP,
+        "min(cod, dom - 1 if dom and M == N else dom)",
+        "min(cod, dom)",
+        [f"{MEMO}::test_no_question_or_run_of_three_eliminates_more_than_before"],
+    ),
+    # Phi read once (a76dc36).
+    (
+        "cokernel-without-transpose",
+        LINALG,
+        "_echelon(field, [list(c) for c in zip(*rows_)], m)",
+        "_echelon(field, rows_, m)",
+        ["tests/test_linalg.py::TestCokernel", "tests/test_rep.py::test_basis_digests_match_the_golden_file"],
+    ),
+    (
+        "full-rank-check-consumes-the-rows",
+        REP,
+        "_rank_lower_bound(M.field, [row.copy() for row in rows], bound)",
+        "_rank_lower_bound(M.field, rows, bound)",
+        [f"{MEMO}::test_interleaved_questions_match_the_memo_free_path", "tests/test_rep.py::test_is_coboundary_builds_phi_once_when_phi_is_not_onto"],
+    ),
+    (
+        "integer-grammar-reads-any-digit",
+        LINALG,
+        'r"[+-]?[0-9]+"',
+        'r"[+-]?\\d+"',
+        ["tests/test_formats.py::TestRepFile::test_entries_outside_the_grammar_rejected"],
     ),
 ]
 
