@@ -30,12 +30,13 @@ entries, on the two dimension vectors before anything is assembled.
 engine holds it as sparse rows and turns them into dense lists only for a
 residual that has filled up, and never holds more than 2**17 sparse entries,
 so at the bound its memory stays near the dense map's, about 23 bytes per
-entry plus a 15 MB base, which keeps it near the 113 MB of the largest
-catalog that MAX_VERTICES admits.  Two A20 files of dim 10 (a 1900 x 2000
-map) peaked at 20-24 MB over F101 and over Q on a 2-core VM under
-Python 3.11, against 102 MB for the dense map.  The bound is on memory, not
-time; time follows the map's sparsity: over Q with random entries in
-[-3, 3], `ext` on two A20 files of dim 8 (a 1216 x 1280 map) takes 0.3 s.
+entry plus a 15 MB base, about 110 MB, of the order of the 88 MB peak of
+verifying the largest catalog that MAX_VERTICES admits (below).  Two A20
+files of dim 10 (a 1900 x 2000 map) peaked at 20-24 MB over F101 and over
+Q on a 2-core VM under Python 3.11, against 102 MB for the dense map.  The
+bound is on memory, not time; time follows the map's sparsity: over Q with
+random entries in [-3, 3], `ext` on two A20 files of dim 8 (a 1216 x 1280
+map) takes 0.3 s.
 Every pair of
 indecomposables on an accepted quiver passes with room to spare: every
 positive root lies below the highest root, so the largest such map is that
@@ -46,8 +47,9 @@ a longer token would otherwise run unbounded or overflow `int()`'s digit
 limit.  A quiver may have at most MAX_VERTICES = 80 vertices, checked on
 the vertices line before the quiver is built.  D_n is the worst case, with
 n(n-1) positive roots and a catalog of that many modules: on a 2-core VM
-under Python 3.11, `verify-udr --field Q` of a linear D80 took 21 s with a
-peak RSS of 84 MB, while `roots` took 0.85 s on D80 and 0.46 s on A80.
+under Python 3.11, `verify-udr --field Q` of a linear D80 took 11-13 s with
+a peak RSS of 88 MB, while `roots` took 0.70 s on D80 and 0.43 s on A80,
+each run as one CLI process.
 Reports are rendered with sorted keys and a fixed layout so equal inputs
 give equal bytes.
 """

@@ -14,6 +14,10 @@ end at one simple root and phase all lie on one thread: the walk up from it.
 A catalog walks each of the n threads up by integer reflections, rebuilds it
 once, up to its last non-simple root at phase 0, and keeps the modules at
 phase 0: one functor call per walk state, and no other module outlives it.
+A walk reflects its vector by `roots._reflected` and checks only that each
+step stays in the positive cone: the quiver was classified as finite, so it
+has no loop, the vector's length was checked against it before the walk,
+and the reflection pass names only its vertices.
 
 A rebuild carries its module as plain data: the dimension vector, one
 row-major entry tuple per arrow (arrows keep their ids and order in every
@@ -33,11 +37,11 @@ import random
 from itertools import chain, cycle
 from typing import Iterable, Sequence
 
-from .errors import InfiniteTypeError, InternalInvariantError, NotARootError, RetryCapError, _fmt_root
+from .errors import InternalInvariantError, NotARootError, RetryCapError, _fmt_root
 from .linalg import Field, Matrix, _kernel_of_rows
-from .quiver import Arrow, Quiver, classify, tits_form
+from .quiver import Arrow, Quiver, _require_finite, tits_form
 from .rep import Representation, is_schur
-from .roots import positive_roots, simple_reflection
+from .roots import _reflected, positive_roots
 from .value import Value, setfield
 
 __all__ = [
@@ -153,15 +157,8 @@ def _reflection_pass(Q: Quiver) -> tuple[list[int], list[Quiver]]:
 
 
 def _require_positive_root(Q: Quiver, d) -> tuple[int, ...]:
-    verdict = classify(Q)
-    if not verdict.finite:
-        raise InfiniteTypeError(
-            f"Tits form is not positive definite ({verdict.witness}); "
-            "quiver has infinite representation type"
-        )
+    _require_finite(Q, "quiver has infinite representation type")
     d = tuple(int(x) for x in d)
-    if len(d) != Q.vertex_count:
-        raise ValueError("dimension vector size mismatch")
     q = tits_form(Q, d)
     if any(c < 0 for c in d) or all(c == 0 for c in d) or q != 1:
         raise NotARootError(d, q)
@@ -186,8 +183,8 @@ def _walk(Q: Quiver, d: tuple[int, ...], vertices: cycle) -> list[tuple[int, ...
             return dims
         if step == cap:
             raise _fail(Q, dims[0], step, v, "reflection walk did not reach a simple root")
-        d = simple_reflection(Q, v, d)
-        if d[v] < 0:  # the only coordinate s_v changes
+        d = d[:v] + (_reflected(Q, v, d),) + d[v + 1 :]
+        if d[v] < 0:
             raise _fail(Q, dims[0], step, v, "reflection walk left the positive cone")
         dims.append(d)
 

@@ -15,9 +15,10 @@ generated code.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 from typing import Sequence
 
-from .errors import InternalInvariantError
+from .errors import InfiniteTypeError, InternalInvariantError
 from .value import Value, setfield
 
 __all__ = [
@@ -47,6 +48,7 @@ class Quiver(Value):
     Equality and hashing ignore `name`."""
 
     _fields = ("labels", "arrows", "name")
+    _key = attrgetter("labels", "arrows")
 
     def __init__(self, labels: Sequence[str], arrows: Sequence[Arrow], name: str = ""):
         labels, arrows = tuple(labels), tuple(arrows)
@@ -64,14 +66,6 @@ class Quiver(Value):
         for a in arrows:
             if not (0 <= a.source < n and 0 <= a.target < n):
                 raise ValueError(f"arrow {a.name!r} references an undeclared vertex")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.labels, self.arrows) == (other.labels, other.arrows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.labels, self.arrows))
 
     @staticmethod
     def from_edges(labels: Sequence[str], edges: Sequence[tuple[str, int, int]], name: str = "") -> "Quiver":
@@ -290,3 +284,10 @@ def classify(Q: Quiver) -> Classification:
     if finite_by_shape:
         return Classification(finite=True, components=results)
     return Classification(finite=False, witness=rejections[0])
+
+
+def _require_finite(Q: Quiver, consequence: str) -> None:
+    """Refuse a quiver of infinite type; consequence ends the message."""
+    verdict = classify(Q)
+    if not verdict.finite:
+        raise InfiniteTypeError(f"Tits form is not positive definite ({verdict.witness}); {consequence}")

@@ -8,14 +8,18 @@ simple one is reached from a lower one that way, so the closure under these
 steps, read off the quiver's neighbour lists, is the set of positive roots
 and never leaves the positive cone.  Enumeration is refused unless the
 quiver classifies as finite.
+
+`_reflected` holds the one copy of the reflection formula; the public
+`simple_reflection` checks its arguments first, while the reflection walk
+of `indec`, whose vertices and vectors are checked once before it starts,
+calls `_reflected` on every step.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InfiniteTypeError
-from .quiver import Quiver, classify
+from .quiver import Quiver, _check_sizes, _require_finite
 from .value import Value, setfield
 
 __all__ = ["RootSet", "simple_reflection", "positive_roots"]
@@ -43,21 +47,21 @@ def simple_reflection(Q: Quiver, i: int, d: Sequence[int]) -> tuple[int, ...]:
     Q._check_vertex(i)
     if Q.tits_matrix[i][i] != 2:
         raise ValueError(f"vertex {i} carries a loop; reflection undefined")
-    if len(d) != Q.vertex_count:
-        raise ValueError("vector size mismatch")
+    _check_sizes(Q, d)
     out = list(d)
-    out[i] -= 2 * d[i] + sum(b * d[j] for j, b in Q.neighbours[i])
+    out[i] = _reflected(Q, i, d)
     return tuple(out)
+
+
+def _reflected(Q: Quiver, i: int, d: Sequence[int]) -> int:
+    """Coordinate i of s_i(d), the only one s_i changes: d[i] - (d, e_i) in
+    the symmetrized Tits form, for a vertex i without a loop."""
+    return -d[i] - sum(b * d[j] for j, b in Q.neighbours[i])
 
 
 def positive_roots(Q: Quiver) -> RootSet:
     """All positive roots of a finite-type quiver, sorted lexicographically."""
-    verdict = classify(Q)
-    if not verdict.finite:
-        raise InfiniteTypeError(
-            f"Tits form is not positive definite ({verdict.witness}); "
-            "root enumeration would not terminate"
-        )
+    _require_finite(Q, "root enumeration would not terminate")
     n = Q.vertex_count
     neighbours = Q.neighbours
     frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]

@@ -4,10 +4,11 @@ A value class names its fields in `_fields` and stores them in its own
 `__init__` with `setfield` (`object.__setattr__`), since assigning or deleting
 an attribute afterwards raises `AttributeError`.  Two values are equal when
 they are of the same class and their fields are equal, and they hash and
-print (`Arrow(name='a', source=0, target=1)`) by the same fields, through
-the attrgetter key built here once per class.  `Quiver` alone writes its own
-`__eq__` and `__hash__`, because its equality ignores one field (`name`).
-Nothing is generated or executed at import.
+print (`Arrow(name='a', source=0, target=1)`) by the same fields.  Equality
+and hashing go through the class's `_key`, an attrgetter built here once per
+class from `_fields` unless the class sets its own: `Quiver` does, because
+its equality ignores one field (`name`).  Nothing is generated or executed at
+import.
 
 `Value` declares empty `__slots__`, so a subclass that declares its fields as
 slots has no `__dict__`; a subclass without slots keeps one.  `__reduce__`
@@ -31,7 +32,8 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls._fields)
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -17,6 +17,7 @@ from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
 from quiverrep.errors import InternalInvariantError
 from quiverrep.formats import MAX_DIM, MAX_MAP_ENTRIES, parse_rep_file, quiver_file_text
 from quiverrep.linalg import Matrix
+from quiverrep.quiver import Quiver
 from quiverrep.rep import hom_ext_dims, is_schur
 from quiverrep.roots import positive_roots
 
@@ -99,6 +100,15 @@ class TestRoots:
     def test_infinite_exit_2(self, files):
         code, _, err = run_cli(["roots", files["kronecker"]])
         assert code == 2
+
+    def test_loop_exit_2(self, tmp_path):
+        """The closure of a one-vertex loop ends at once, so only the
+        finite-type gate tells it apart from a finite quiver."""
+        p = tmp_path / "jordan.quiver"
+        p.write_text(quiver_file_text(Quiver.from_edges(("v",), (("a", 0, 0),), "jordan")))
+        code, out, err = run_cli(["roots", str(p)])
+        assert (code, out) == (2, "")
+        assert err == "error: Tits form is not positive definite (loop at vertex 'v'); root enumeration would not terminate\n"
 
     def test_json_sorted(self, files):
         code, out, _ = run_cli(["roots", files["D4_linear"], "--format", "json"])

@@ -329,7 +329,7 @@ class TestInvariantMessages:
 
     def test_walk_cap_names_the_site(self, monkeypatch):
         """A walk that never meets a simple root stops after n max(n, 15) steps."""
-        monkeypatch.setattr(indec, "simple_reflection", lambda Q, i, d: d)
+        monkeypatch.setattr(indec, "_reflected", lambda Q, i, d: d[i])
         with pytest.raises(InternalInvariantError) as exc:
             construct_indecomposable(shipped_quiver("a3_linear.quiver"), (1, 1, 1), QQ)
         assert str(exc.value) == (
@@ -339,9 +339,7 @@ class TestInvariantMessages:
 
     def test_walk_positivity_names_the_site(self, monkeypatch):
         """A reflection that takes d[v] below zero stops the walk at that step."""
-        monkeypatch.setattr(
-            indec, "simple_reflection", lambda Q, i, d: tuple(-1 if j == i else c for j, c in enumerate(d))
-        )
+        monkeypatch.setattr(indec, "_reflected", lambda Q, i, d: -1)
         expected = (
             "quiver A3_linear, root (1,1,1), walk step 0, vertex 3: "
             "reflection walk left the positive cone"
@@ -440,3 +438,18 @@ class TestGenericOracle:
         built = construct_indecomposable(d4, (1, 2, 1, 1), QQ)
         sampled = generic_rep_oracle(d4, (1, 2, 1, 1), QQ, seed=0)
         assert is_isomorphic(sampled, built)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: simple_reflection(A2, 0, d),
+        lambda d: construct_indecomposable(A2, d, QQ),
+        lambda d: generic_rep_oracle(A2, d, QQ),
+    ],
+    ids=["simple_reflection", "construct_indecomposable", "generic_rep_oracle"],
+)
+@pytest.mark.parametrize("d", [(1,), (1, 1, 1)])
+def test_a_vector_of_the_wrong_length_is_refused(call, d):
+    with pytest.raises(ValueError, match=rf"^vector of length {len(d)} does not fit a quiver on 2 vertices$"):
+        call(d)

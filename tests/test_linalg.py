@@ -188,6 +188,7 @@ def test_solve_verifies_by_substitution(rows, xs):
         b = matmul(a, x)
         got = solve(a, b.entries)
         assert got is not None
+        assert got == tuple(map(field.canon, got))
         assert matmul(a, Matrix(field, a.cols, 1, got)) == b
 
 

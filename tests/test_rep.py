@@ -520,14 +520,20 @@ def test_full_rank_rational_pair_needs_no_bareiss(monkeypatch):
 
 
 def test_end_bound_spares_bareiss(monkeypatch):
-    """The Kronecker module k --(1, 0)--> k is a brick whose 2x2 End map has
-    rank 1: below min(rows, cols), but equal to cols - 1, the bound the
-    identity gives, so the residue-prime rank settles it."""
+    """The Kronecker modules k --(1, 0)--> k and k --(2, 3)--> k are bricks
+    whose 2x2 End maps have rank 1: below min(rows, cols), but equal to
+    cols - 1, the bound the identity gives, so the residue-prime rank settles
+    it.  Only the second needs the bound: no entry of its map is a unit, so
+    without it the rational rank would fall back to Bareiss."""
     kron = kronecker_quiver()
-    m = Representation(kron, QQ, (1, 1), [Matrix(QQ, 1, 1, [1]), Matrix(QQ, 1, 1, [0])])
-    assert rank(commutation_map(m, m)) == 1
+    modules = [
+        Representation(kron, QQ, (1, 1), [Matrix(QQ, 1, 1, [a]), Matrix(QQ, 1, 1, [b])]) for a, b in ((1, 0), (2, 3))
+    ]
+    for m in modules:
+        assert rank(commutation_map(m, m)) == 1
     monkeypatch.setattr(linalg, "_bareiss_echelon", _never_bareiss)
-    assert hom_ext_dims(m, m) == (1, 1)
+    for m in modules:
+        assert hom_ext_dims(m, m) == (1, 1)
 
 
 def test_rank_peak_stays_below_the_dense_map():

@@ -36,6 +36,7 @@ CLI = "src/quiverrep/cli.py"
 LINALG = "src/quiverrep/linalg.py"
 REP = "src/quiverrep/rep.py"
 QUIVER = "src/quiverrep/quiver.py"
+ROOTS = "src/quiverrep/roots.py"
 FORMATS = "src/quiverrep/formats.py"
 CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
 MEMO = "tests/test_pair_memo.py"
@@ -183,9 +184,32 @@ MUTATIONS = [
     (
         "quiver-equality-reads-name",
         QUIVER,
-        "return (self.labels, self.arrows) == (other.labels, other.arrows)",
-        "return (self.labels, self.arrows, self.name) == (other.labels, other.arrows, other.name)",
+        '_key = attrgetter("labels", "arrows")',
+        '_key = attrgetter("labels", "arrows", "name")',
         [VALUES],
+    ),
+    (
+        "value-ignores-a-class-key",
+        VALUE,
+        'if "_key" not in cls.__dict__:',
+        "if True:",
+        [VALUES],
+    ),
+    (
+        # The kronecker test of `roots` would not end under this mutation: the
+        # closure of its real roots is infinite.  A loop's closure is finite.
+        "finite-type-gate-open",
+        QUIVER,
+        "if not verdict.finite:",
+        "if False:",
+        ["tests/test_cli.py::TestRoots::test_loop_exit_2", "tests/test_cli.py::TestIndec::test_infinite_type_exit_2"],
+    ),
+    (
+        "reflected-neighbour-sum-sign",
+        ROOTS,
+        "return -d[i] - sum(b * d[j] for j, b in Q.neighbours[i])",
+        "return -d[i] + sum(b * d[j] for j, b in Q.neighbours[i])",
+        ["tests/test_roots.py::TestSimpleReflection", "tests/test_indec.py::TestConstructIndecomposable"],
     ),
     (
         "setattr-does-not-refuse",
@@ -275,7 +299,7 @@ MUTATIONS = [
         LINALG,
         "            acc = [a % p for a in acc]\n",
         "            pass\n",
-        ["tests/test_linalg.py::test_rational_elimination_matches_textbook_gauss_jordan"],
+        ["tests/test_linalg.py::test_rational_elimination_matches_textbook_gauss_jordan", SOLVE],
     ),
     (
         "back-substitution-wrong-d",
@@ -318,7 +342,7 @@ MUTATIONS = [
         REP,
         "min(cod, dom - 1 if dom and M == N else dom)",
         "min(cod, dom)",
-        [f"{MEMO}::test_no_question_or_run_of_three_eliminates_more_than_before"],
+        [f"{MEMO}::test_no_question_or_run_of_three_eliminates_more_than_before", "tests/test_rep.py::test_end_bound_spares_bareiss"],
     ),
     # Phi read once (a76dc36).
     (
