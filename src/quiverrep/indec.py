@@ -26,9 +26,11 @@ reflection pass computes once.  Each step runs one kernel, `_reflect`, that
 rewrites only the space at the reflected vertex v and the blocks of the
 arrows at v, and the rebuild checks only what the step changed: the arrows
 at v leave v before the step and enter it after, and the new dimension at v
-is the walk's.  A validated `Representation` is built only for each module
-a rebuild keeps; `reflect_at_source` runs the same kernel between validated
-representations.
+is the walk's.  A rebuild returns the modules it keeps as the same plain
+data, and each caller builds a validated `Representation` only for the ones
+it keeps: `construct_indecomposable` for the module of its root, the catalog
+for the non-simple ones.  `reflect_at_source` runs the same kernel between
+validated representations.
 """
 
 from __future__ import annotations
@@ -189,10 +191,11 @@ def _walk(Q: Quiver, d: tuple[int, ...], vertices: cycle) -> list[tuple[int, ...
         dims.append(d)
 
 
-def _rebuild(Q: Quiver, field: Field, walk: tuple[list[int], list[Quiver]], dims) -> list[Representation]:
+def _rebuild(Q: Quiver, field: Field, walk: tuple[list[int], list[Quiver]], dims) -> list[tuple]:
     """Rebuild upwards along dims, the states at times 0..t of a walk down to a
-    simple root; returns the modules at times s < t with s = 0 mod n, time 0 last.
-    The module at time s is plain data over orientations[s mod n]."""
+    simple root; returns the modules at times s < t with s = 0 mod n, time 0
+    last, as plain data (dims, maps) over orientations[0], which is Q.  The
+    module at time s is plain data over orientations[s mod n]."""
     (order, orientations), n, t = walk, Q.vertex_count, len(dims) - 1
     # The simple module: without loops every arrow has a zero space at one end.
     d = tuple(int(j == order[t % n]) for j in range(n))
@@ -211,7 +214,7 @@ def _rebuild(Q: Quiver, field: Field, walk: tuple[list[int], list[Quiver]], dims
         if d[v] != dims[s][v]:
             raise _fail(Q, dims[0], s, v, f"dimension bookkeeping failed: {d} != {dims[s]}")
         if s % n == 0:
-            kept.append(_module(after, field, d, maps))
+            kept.append((d, maps))
     return kept
 
 
@@ -221,7 +224,7 @@ def construct_indecomposable(Q: Quiver, d, field: Field) -> Representation:
     if sum(d) == 1:
         return Representation.simple(Q, field, d.index(1))
     walk = _reflection_pass(Q)
-    return _rebuild(Q, field, walk, _walk(Q, d, cycle(walk[0])))[-1]
+    return _module(Q, field, *_rebuild(Q, field, walk, _walk(Q, d, cycle(walk[0])))[-1])
 
 
 def all_indecomposables(Q: Quiver, field: Field) -> IndecCatalog:
@@ -239,7 +242,7 @@ def all_indecomposables(Q: Quiver, field: Field) -> IndecCatalog:
         up = _walk(Q, simples[v].dims, cycle(reversed(order[j:] + order[:j])))
         top = max((k for k in range(j, len(up), n) if sum(up[k]) > 1), default=None)
         if top is not None:
-            entries += ((M.dims, M) for M in _rebuild(Q, field, walk, up[top::-1]) if sum(M.dims) > 1)
+            entries += ((d, _module(Q, field, d, maps)) for d, maps in _rebuild(Q, field, walk, up[top::-1]) if sum(d) > 1)
     entries.sort(key=lambda e: e[0])
     if [r for r, _ in entries] != list(roots):
         raise InternalInvariantError(f"quiver {Q.name}: the threads do not give one module per positive root")

@@ -113,8 +113,6 @@ class Field(Value):
         p = self.char
         if type(x) is int:
             return x % p if p else x
-        if p and isinstance(x, int):
-            return x % p
         x = x if type(x) is Fraction else Fraction(x)
         if not p:
             return x.numerator if x.denominator == 1 else x
@@ -253,15 +251,13 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
         pr = r if rows_[r][c] else next((i for i in range(r + 1, m) if rows_[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            rows_[r], rows_[pr] = rows_[pr], rows_[r]
+        rows_[r], rows_[pr] = rows_[pr], rows_[r]
         piv_row = rows_[r]
-        if stale:
-            then = stale.pop(pr, prev)
-            if r in stale:
-                stale[pr] = stale.pop(r)
-            if then != prev:
-                piv_row[c:] = [a * prev // then for a in piv_row[c:]]
+        then = stale.pop(pr, prev)
+        if r in stale:
+            stale[pr] = stale.pop(r)
+        if then != prev:
+            piv_row[c:] = [a * prev // then for a in piv_row[c:]]
         piv = piv_row[c]
         if piv < 0:
             piv = -piv
@@ -274,11 +270,8 @@ def _bareiss_echelon(rows_: list[list[int]], m: int, n: int) -> list[int]:
                 if piv != prev and i not in stale:
                     stale[i] = prev
                 continue
-            then = stale.pop(i, prev) if stale else prev
-            if then == 1:
-                ri[c:] = [a * piv - f * b for a, b in zip(ri[c:], piv_tail)]
-            else:
-                ri[c:] = [(a * piv - f * b) // then for a, b in zip(ri[c:], piv_tail)]
+            then = stale.pop(i, prev)
+            ri[c:] = [(a * piv - f * b) // then for a, b in zip(ri[c:], piv_tail)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -300,8 +293,7 @@ def _fp_eliminate(rows_: list[list[int]], m: int, n: int, p: int) -> list[int]:
         pr = r if rows_[r][c] else next((i for i in range(r + 1, m) if rows_[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            rows_[r], rows_[pr] = rows_[pr], rows_[r]
+        rows_[r], rows_[pr] = rows_[pr], rows_[r]
         prow = rows_[r]
         inv = pow(prow[c], -1, p)
         if inv != 1:

@@ -14,6 +14,7 @@ generated code.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
@@ -230,10 +231,7 @@ def _classify_component(Q: Quiver, comp: list[int]) -> DynkinType | str:
             if a.source == a.target:
                 return f"loop at vertex '{Q.labels[a.source]}'"
             edges.append((min(a.source, a.target), max(a.source, a.target)))
-    pair_counts: dict[tuple[int, int], int] = {}
-    for e in edges:
-        pair_counts[e] = pair_counts.get(e, 0) + 1
-    for (u, v), cnt in pair_counts.items():
+    for (u, v), cnt in Counter(edges).items():
         if cnt > 1:
             return f"parallel arrows between '{Q.labels[u]}' and '{Q.labels[v]}'"
     if len(edges) != len(comp) - 1:

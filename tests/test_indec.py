@@ -231,12 +231,8 @@ class TestSharedWalks:
         all_indecomposables(shipped_quiver(filename), F2)
         assert count["calls"] == calls
 
-    @pytest.mark.parametrize("filename", ["e8_linear.quiver", "e8_alternating.quiver", "e8_sinkheavy.quiver"])
-    def test_catalog_validates_only_the_modules_it_keeps(self, monkeypatch, filename):
-        """Threads carry plain data: a build constructs a Representation only
-        for the simples and the modules it keeps, at most |roots| + n = 128 on
-        E8, and a Quiver only for the reflection pass, at most n + 1 = 9."""
-        q = shipped_quiver(filename)
+    @staticmethod
+    def _count_constructions(monkeypatch) -> Counter:
         count = Counter()
         for cls in (Representation, Quiver):
 
@@ -245,9 +241,27 @@ class TestSharedWalks:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted)
+        return count
+
+    @pytest.mark.parametrize("filename", ["e8_linear.quiver", "e8_alternating.quiver", "e8_sinkheavy.quiver"])
+    def test_catalog_validates_only_the_modules_it_keeps(self, monkeypatch, filename):
+        """Threads carry plain data: a build constructs one Representation per
+        root, 120 on E8, and a Quiver only for the reflection pass, at most
+        n + 1 = 9."""
+        q = shipped_quiver(filename)
+        count = self._count_constructions(monkeypatch)
         assert len(all_indecomposables(q, F2)) == 120
-        assert count["Representation"] <= 128
+        assert count["Representation"] == 120
         assert count["Quiver"] <= 9
+
+    def test_one_root_validates_one_module(self, monkeypatch):
+        """The walk of the D12 highest root passes phase 0 ten times; only the
+        module of the root is built as a Representation."""
+        q = build_quiver("D", 12)
+        top = max(positive_roots(q), key=sum)
+        count = self._count_constructions(monkeypatch)
+        assert construct_indecomposable(q, top, F2).dims == top
+        assert count["Representation"] == 1
 
     def test_build_peak_stays_near_the_catalog_size(self):
         """No module outlives its thread unless the catalog keeps it: the

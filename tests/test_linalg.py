@@ -225,6 +225,22 @@ def test_bulk_canonicalization_equals_canon_per_entry(xs):
         assert [type(x) for x in got] == [type(x) for x in want]
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=mixed_entry_st)
+def test_canon_returns_the_canonical_element(x):
+    """An int in [0, p) over F_p, and over Q an int or a Fraction that is not
+    integral; in each field equal to x."""
+    for p in (2, 3, 101):
+        if Fraction(x).denominator % p == 0:
+            continue
+        y = Field(p).canon(x)
+        assert type(y) is int and 0 <= y < p
+        assert (Fraction(x) - y).numerator % p == 0
+    y = QQ.canon(x)
+    assert type(y) is int or (type(y) is Fraction and y.denominator > 1)
+    assert y == x
+
+
 def test_vanishing_denominator_raises_in_the_constructor():
     with pytest.raises(ZeroDivisionError):
         Matrix(Field(3), 1, 2, [1, Fraction(1, 6)])

@@ -1,6 +1,7 @@
 """tools/mutations.py: each recorded mutation still applies to the tree, and
 names tests that exist.  The harness itself, which runs the tests on each
-mutated copy, stays out of this suite because of its runtime."""
+mutated copy, stays out of this suite because of its runtime; only its
+timeout is checked, on a test run that is replaced."""
 
 from __future__ import annotations
 
@@ -28,3 +29,12 @@ def test_each_mutation_names_tests_that_exist():
             source = (ROOT / path).read_text(encoding="utf-8")
             for part in parts:
                 assert f"class {part}" in source or f"def {part}(" in source, (name, test_id)
+
+
+def test_a_run_that_times_out_is_an_error(monkeypatch):
+    def timed_out(args, **kwargs):
+        raise mutations.subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(mutations.subprocess, "run", timed_out)
+    _, path, old, new, tests = mutations.MUTATIONS[0]
+    assert mutations.run_mutation(path, old, new, tests) == ("error", f"timed out after {mutations.TIMEOUT_S} s")

@@ -9,8 +9,8 @@ tests, under the Hypothesis profile `no-shrink` of tests/conftest.py, which
 reports the first failing example without shrinking it.  A mutation is
 killed when pytest reports failures (exit 1); it survives when the tests
 pass, and any other pytest exit (a test id that is not found, a collection
-error) is reported as an error.  Nothing in the checkout is modified.  Run
-from the repository root:
+error), or a run longer than TIMEOUT_S seconds, is reported as an error.
+Nothing in the checkout is modified.  Run from the repository root:
 
     python tools/mutations.py
 
@@ -37,6 +37,7 @@ LINALG = "src/quiverrep/linalg.py"
 REP = "src/quiverrep/rep.py"
 QUIVER = "src/quiverrep/quiver.py"
 ROOTS = "src/quiverrep/roots.py"
+INDEC = "src/quiverrep/indec.py"
 FORMATS = "src/quiverrep/formats.py"
 CLI_GOLDEN = "tests/test_cli.py::TestDeterminism::test_transcript_matches_the_golden_file"
 MEMO = "tests/test_pair_memo.py"
@@ -46,6 +47,11 @@ VALUES = "tests/test_values.py::test_value_semantics"
 KERNEL = "tests/test_linalg.py::test_kernel_exactness_and_rref_idempotence"
 SOLVE = "tests/test_linalg.py::test_solve_verifies_by_substitution"
 ENGINE = "tests/test_linalg.py::test_rank_engine_matches_the_direct_elimination"
+SHARED_WALKS = "tests/test_indec.py::TestSharedWalks::test_catalog_equals_per_root_rebuild"
+
+# Seconds one mutation's test run may take.  The slowest run, mutated or
+# not, takes 4 to 7 s on two cores of a Xeon.
+TIMEOUT_S = 120
 
 # (name, file, old text, new text, test ids expected to fail)
 MUTATIONS = [
@@ -139,12 +145,19 @@ MUTATIONS = [
     (
         "bareiss-skipped-pivot-row-not-caught-up",
         LINALG,
-        "                piv_row[c:] = [a * prev // then for a in piv_row[c:]]\n",
-        "                pass\n",
+        "            piv_row[c:] = [a * prev // then for a in piv_row[c:]]\n",
+        "            pass\n",
         [
             "tests/test_linalg.py::test_deferred_bareiss_leaves_the_eager_echelon",
             "tests/test_linalg.py::test_a_skipped_row_is_caught_up_when_it_becomes_the_pivot_row",
         ],
+    ),
+    (
+        "bareiss-update-skips-the-division",
+        LINALG,
+        "ri[c:] = [(a * piv - f * b) // then for a, b in zip(ri[c:], piv_tail)]",
+        "ri[c:] = [(a * piv - f * b) for a, b in zip(ri[c:], piv_tail)]",
+        ["tests/test_linalg.py::test_deferred_bareiss_leaves_the_eager_echelon"],
     ),
     (
         "unit-phase-reads-stale-indices",
@@ -180,6 +193,27 @@ MUTATIONS = [
         "        length = 1\n",
         "        length = 0\n",
         ["tests/test_quiver.py::TestClassify"],
+    ),
+    (
+        "parallel-arrows-counted-once",
+        QUIVER,
+        "if cnt > 1:",
+        "if cnt > 2:",
+        ["tests/test_quiver.py::TestClassify"],
+    ),
+    (
+        "rebuild-keeps-every-phase",
+        INDEC,
+        "if s % n == 0:",
+        "if True:",
+        [SHARED_WALKS],
+    ),
+    (
+        "catalog-keeps-thread-simples",
+        INDEC,
+        "sum(d) > 1",
+        "sum(d) > 0",
+        [SHARED_WALKS],
     ),
     (
         "quiver-equality-reads-name",
@@ -384,7 +418,8 @@ def check_texts(mutations=MUTATIONS) -> dict[str, str]:
 
 def run_mutation(path: str, old: str, new: str, tests: list[str]) -> tuple[str, str]:
     """Apply one mutation to a fresh copy of the tree and run its tests:
-    ('killed' | 'survived' | 'error', pytest's last output line)."""
+    ('killed' | 'survived' | 'error', pytest's last output line or the
+    timeout)."""
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         for part in COPIED:
             src, dst = ROOT / part, Path(tmp) / part
@@ -395,13 +430,17 @@ def run_mutation(path: str, old: str, new: str, tests: list[str]) -> tuple[str, 
         target = Path(tmp) / path
         target.write_text(target.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=no-shrink", *tests],
-            cwd=tmp,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=no-shrink", *tests],
+                cwd=tmp,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "error", f"timed out after {TIMEOUT_S} s"
     last = (proc.stdout.strip().splitlines() or [""])[-1]
     outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
     return outcome, last
