@@ -188,6 +188,8 @@ def _parse_matrix_literal(s: str, field: Field, rows: int, cols: int, lineno: in
             raise ParseError(f"bad matrix entry: {exc}", lineno) from exc
     if len(data) != rows or any(len(r) != cols for r in data):
         got = f"{len(data)}x{len(data[0]) if data else 0}"
+        if any(len(r) != len(data[0]) for r in data):  # ragged: name the first row that does not fit
+            got = next(f"row {i} of length {len(r)}" for i, r in enumerate(data, 1) if len(r) != cols)
         raise ParseError(f"matrix must be {rows}x{cols}, got {got}", lineno)
     return Matrix.from_rows(field, data, cols=cols)
 

@@ -159,7 +159,7 @@ def _reflection_pass(Q: Quiver) -> tuple[list[int], list[Quiver]]:
 
 
 def _require_positive_root(Q: Quiver, d) -> tuple[int, ...]:
-    _require_finite(Q, "quiver has infinite representation type")
+    _require_finite(Q)
     d = tuple(int(x) for x in d)
     q = tits_form(Q, d)
     if any(c < 0 for c in d) or all(c == 0 for c in d) or q != 1:

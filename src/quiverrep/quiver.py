@@ -284,8 +284,9 @@ def classify(Q: Quiver) -> Classification:
     return Classification(finite=False, witness=rejections[0])
 
 
-def _require_finite(Q: Quiver, consequence: str) -> None:
-    """Refuse a quiver of infinite type; consequence ends the message."""
+def _require_finite(Q: Quiver) -> None:
+    """Refuse a quiver of infinite type with the one message every command
+    prints: the witness, then "quiver has infinite representation type"."""
     verdict = classify(Q)
     if not verdict.finite:
-        raise InfiniteTypeError(f"Tits form is not positive definite ({verdict.witness}); {consequence}")
+        raise InfiniteTypeError(f"Tits form is not positive definite ({verdict.witness}); quiver has infinite representation type")

@@ -6,8 +6,9 @@ i, by -(d, e_i) in the symmetrized Tits form, so it raises the height of d
 exactly when (d, e_i) < 0.  In finite type every positive root other than a
 simple one is reached from a lower one that way, so the closure under these
 steps, read off the quiver's neighbour lists, is the set of positive roots
-and never leaves the positive cone.  Enumeration is refused unless the
-quiver classifies as finite.
+and never leaves the positive cone.  `positive_roots` returns them as a
+plain tuple of root tuples in lexicographic order; it refuses, through the
+one finite-type gate of `quiver`, a quiver that does not classify as finite.
 
 `_reflected` holds the one copy of the reflection formula; the public
 `simple_reflection` checks its arguments first, while the reflection walk
@@ -17,29 +18,11 @@ calls `_reflected` on every step.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .quiver import Quiver, _check_sizes, _require_finite
-from .value import Value, setfield
 
-__all__ = ["RootSet", "simple_reflection", "positive_roots"]
-
-
-class RootSet(Value):
-    _fields = ("quiver", "roots")
-
-    def __init__(self, quiver: Quiver, roots: Iterable[Sequence[int]]):
-        setfield(self, "quiver", quiver)
-        setfield(self, "roots", tuple(map(tuple, roots)))
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.roots)
-
-    def __contains__(self, d) -> bool:
-        return tuple(d) in self.roots
+__all__ = ["simple_reflection", "positive_roots"]
 
 
 def simple_reflection(Q: Quiver, i: int, d: Sequence[int]) -> tuple[int, ...]:
@@ -59,9 +42,10 @@ def _reflected(Q: Quiver, i: int, d: Sequence[int]) -> int:
     return -d[i] - sum(b * d[j] for j, b in Q.neighbours[i])
 
 
-def positive_roots(Q: Quiver) -> RootSet:
-    """All positive roots of a finite-type quiver, sorted lexicographically."""
-    _require_finite(Q, "root enumeration would not terminate")
+def positive_roots(Q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """All positive roots of a finite-type quiver: a tuple of root tuples,
+    sorted lexicographically."""
+    _require_finite(Q)
     n = Q.vertex_count
     neighbours = Q.neighbours
     frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -77,4 +61,4 @@ def positive_roots(Q: Quiver) -> RootSet:
                         seen.add(r)
                         higher.append(r)
         frontier = higher
-    return RootSet(Q, sorted(seen))
+    return tuple(sorted(seen))

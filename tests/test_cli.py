@@ -15,13 +15,15 @@ import pytest
 import quiverrep.linalg as linalg
 from quiverrep.dynkin import build_quiver, cycle_quiver, kronecker_quiver
 from quiverrep.errors import InternalInvariantError
-from quiverrep.formats import MAX_DIM, MAX_MAP_ENTRIES, parse_rep_file, quiver_file_text
+from quiverrep.formats import MAX_DIM, MAX_MAP_ENTRIES, parse_quiver_file, parse_rep_file, quiver_file_text
 from quiverrep.linalg import Matrix
-from quiverrep.quiver import Quiver
+from quiverrep.quiver import Quiver, classify
 from quiverrep.rep import hom_ext_dims, is_schur
 from quiverrep.roots import positive_roots
 
 from conftest import load_tool, run_cli
+
+QUIVER_DIR = Path(__file__).parent.parent / "quivers"
 
 # The most digits int() reads from a string; 0 where there is no limit
 # (before Python 3.10.7, or with PYTHONINTMAXSTRDIGITS=0).
@@ -108,7 +110,7 @@ class TestRoots:
         p.write_text(quiver_file_text(Quiver.from_edges(("v",), (("a", 0, 0),), "jordan")))
         code, out, err = run_cli(["roots", str(p)])
         assert (code, out) == (2, "")
-        assert err == "error: Tits form is not positive definite (loop at vertex 'v'); root enumeration would not terminate\n"
+        assert err == "error: Tits form is not positive definite (loop at vertex 'v'); quiver has infinite representation type\n"
 
     def test_json_sorted(self, files):
         code, out, _ = run_cli(["roots", files["D4_linear"], "--format", "json"])
@@ -213,6 +215,12 @@ class TestExt:
         code, out, err = run_cli(["ext", files["A2_linear"], "--from", bad, "--to", good])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_ragged_literal_exit_1_names_the_row(self, files, tmp_path):
+        bad = self._write_rep(tmp_path, "bad.rep", "rep B over Q\ndim 1 = 2\ndim 2 = 2\nmap a1 = [[1,2],[3]]\n")
+        code, out, err = run_cli(["ext", files["A2_linear"], "--from", bad, "--to", bad])
+        assert (code, out) == (1, "")
+        assert err == "error: line 4: matrix must be 2x2, got row 2 of length 1\n"
 
     def test_oversized_field_line_exit_1(self, files, tmp_path):
         big = self._write_rep(tmp_path, "big.rep", "rep B over F2305843009213693951\ndim 1 = 1\n")
@@ -424,6 +432,32 @@ class TestOneLineErrors:
         assert err.startswith("error: infinite representation type: ") and err.count("\n") == 1
 
 
+class TestInfiniteTypeRefusal:
+    """Every command that needs finite type refuses an infinite-type quiver
+    with the one reason that holds for all of them, loops included."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [None, QUIVER_DIR / "kronecker.quiver", QUIVER_DIR / "a2_tilde_cycle.quiver"],
+        ids=["loop", "kronecker", "a2_tilde_cycle"],
+    )
+    def test_one_refusal_line_on_every_path(self, tmp_path, path):
+        if path is None:
+            path = tmp_path / "jordan.quiver"
+            path.write_text(quiver_file_text(Quiver.from_edges(("v",), (("a", 0, 0),), "jordan")))
+        Q = parse_quiver_file(path.read_text())
+        dim = ",".join("1" * Q.vertex_count)
+        expected = f"error: Tits form is not positive definite ({classify(Q).witness}); quiver has infinite representation type\n"
+        for argv in [
+            ["roots"],
+            ["roots", "--format", "json"],
+            ["verify-udr", "--field", "Q"],
+            ["verify-udr", "--field", "Q", "--dim", dim],
+            ["indec", "--field", "Q", "--dim", dim],
+        ]:
+            assert run_cli([argv[0], str(path), *argv[1:]]) == (2, "", expected), argv
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, files):
         argv = ["verify-udr", files["A3_linear"], "--field", "Q", "--format", "json", "--seed", "0"]
@@ -444,7 +478,7 @@ class TestDeterminism:
 
 class TestShippedQuivers:
     def test_all_files_parse_and_classify(self):
-        shipped = Path(__file__).parent.parent / "quivers"
+        shipped = QUIVER_DIR
         files = sorted(shipped.glob("*.quiver"))
         assert len(files) >= 35
         negatives = {"kronecker", "a2_tilde_cycle", "d4_tilde"}
@@ -454,7 +488,7 @@ class TestShippedQuivers:
             assert code == expected, path.name
 
     def test_two_orientations_per_diagram(self):
-        shipped = Path(__file__).parent.parent / "quivers"
+        shipped = QUIVER_DIR
         for letter, rank in [("A", r) for r in range(2, 9)] + [
             ("D", r) for r in range(4, 9)
         ] + [("E", 6), ("E", 7), ("E", 8)]:

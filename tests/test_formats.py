@@ -212,6 +212,26 @@ class TestRepFile:
         _, rep = parse_rep_file(f"rep M over Q\ndim 1 = 1\ndim 2 = 1\nmap a1 = [[{entry}]]\n", build_quiver("A", 2))
         assert rep.maps[0].entries == (value,)
 
+    @pytest.mark.parametrize(
+        "literal, got",
+        [
+            ("[[1,2],[3]]", "row 2 of length 1"),
+            ("[[1,2,3],[4,5]]", "row 1 of length 3"),
+            ("[[1],[2,3]]", "row 1 of length 1"),
+            ("[[1,2],[3,4],[5]]", "row 3 of length 1"),
+            ("[[1,2,3],[4,5,6]]", "2x3"),
+            ("[[1,2]]", "1x2"),
+            ("[]", "0x0"),
+        ],
+    )
+    def test_wrong_shape_names_what_is_wrong(self, literal, got):
+        """A ragged literal names its first row whose length is not the
+        column count; a rectangular one gives its shape."""
+        text = f"rep M over Q\ndim 1 = 2\ndim 2 = 2\nmap a1 = {literal}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_rep_file(text, build_quiver("A", 2))
+        assert str(exc.value) == f"line 4: matrix must be 2x2, got {got}"
+
     def test_dim_at_the_bound_accepted(self):
         q = build_quiver("A", 2)
         _, rep = parse_rep_file(f"rep M over F2\ndim 1 = 00{MAX_DIM}\n", q)

@@ -16,7 +16,6 @@ from quiverrep.indec import IndecCatalog, all_indecomposables
 from quiverrep.linalg import Field, Matrix, QQ
 from quiverrep.quiver import Arrow, Classification, DynkinType, Quiver
 from quiverrep.rep import ExtSpace, MorphismSpace, Representation
-from quiverrep.roots import RootSet
 
 F3 = Field(3)
 Q = Quiver.from_edges(("x", "y"), [("a", 0, 1)], "q")
@@ -52,7 +51,6 @@ CASES = [
     ),
     (MorphismSpace, {"source": M, "target": M, "basis": ()}, {}, {}, {"target": N}),
     (ExtSpace, {"source": M, "target": M, "cocycles": ()}, {}, {}, {"target": N}),
-    (RootSet, {"quiver": Q, "roots": ((1, 0),)}, {}, {}, {"roots": ((0, 1),)}),
     (IndecCatalog, {"quiver": Q, "field": QQ, "entries": (((1, 0), M),)}, {}, {}, {"field": F3}),
     (DualNumberLift, {"base": M, "perturbation": (Matrix.zeros(QQ, 0, 1),)}, {}, {}, {"base": N}),
     (UDRReport, {"end_dim": 1, "ext_dim": 0}, {}, {}, {"ext_dim": 1}),
@@ -124,7 +122,6 @@ def test_catalog_copies_equal():
         (Quiver(["x", "y"], [Arrow("a", 0, 1)], "q"), Q),
         (Representation(Q, QQ, [1, 1], [ONE]), Representation(Q, QQ, (1, 1), (ONE,))),
         (Classification(True, [DynkinType("A", 2)]), Classification(True, (DynkinType("A", 2),))),
-        (RootSet(Q, [[1, 0], [1, 1]]), RootSet(Q, ((1, 0), (1, 1)))),
         (MorphismSpace(M, M, [[ONE, Matrix.zeros(QQ, 0, 0)]]), MorphismSpace(M, M, ((ONE, Matrix.zeros(QQ, 0, 0)),))),
         (ExtSpace(M, N, [[ONE]]), ExtSpace(M, N, ((ONE,),))),
         (IndecCatalog(Q, QQ, [[[1, 0], M]]), IndecCatalog(Q, QQ, (((1, 0), M),))),
@@ -134,7 +131,6 @@ def test_catalog_copies_equal():
         "Quiver",
         "Representation",
         "Classification",
-        "RootSet",
         "MorphismSpace",
         "ExtSpace",
         "IndecCatalog",

@@ -174,6 +174,15 @@ MUTATIONS = [
         ["tests/test_formats.py::test_pair_size_is_phi_size"],
     ),
     (
+        "ragged-literal-reports-first-row-length",
+        FORMATS,
+        """        if any(len(r) != len(data[0]) for r in data):  # ragged: name the first row that does not fit
+            got = next(f"row {i} of length {len(r)}" for i, r in enumerate(data, 1) if len(r) != cols)
+""",
+        "",
+        ["tests/test_formats.py::TestRepFile::test_wrong_shape_names_what_is_wrong"],
+    ),
+    (
         "sink-reads-incoming",
         QUIVER,
         "return not self.outgoing[i]",
@@ -237,6 +246,20 @@ MUTATIONS = [
         "if not verdict.finite:",
         "if False:",
         ["tests/test_cli.py::TestRoots::test_loop_exit_2", "tests/test_cli.py::TestIndec::test_infinite_type_exit_2"],
+    ),
+    (
+        "finite-type-reason-names-enumeration",
+        QUIVER,
+        '; quiver has infinite representation type")',
+        '; root enumeration would not terminate")',
+        ["tests/test_cli.py::TestInfiniteTypeRefusal"],
+    ),
+    (
+        "positive-roots-returns-a-list",
+        ROOTS,
+        "return tuple(sorted(seen))",
+        "return sorted(seen)",
+        ["tests/test_roots.py"],
     ),
     (
         "reflected-neighbour-sum-sign",
